@@ -209,16 +209,26 @@ void BM_SoftmaxRows(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxRows)->Arg(64)->Arg(512)->UseRealTime();
 
-void BM_LayerNormForward(benchmark::State& state) {
+void BM_Gelu(benchmark::State& state) {
   Rng rng(1);
   const Tensor a = Tensor::randn({256, 256}, rng);
   for (auto _ : state) {
-    // Inline layer-norm math via gelu as a stand-in elementwise cost probe.
     Tensor out = caraml::tensor::gelu(a);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_LayerNormForward)->UseRealTime();
+BENCHMARK(BM_Gelu)->UseRealTime();
+
+void BM_GeluBackward(benchmark::State& state) {
+  Rng rng(1);
+  const Tensor a = Tensor::randn({256, 256}, rng);
+  const Tensor g = Tensor::randn({256, 256}, rng);
+  for (auto _ : state) {
+    Tensor out = caraml::tensor::gelu_backward(a, g);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_GeluBackward)->UseRealTime();
 
 // --- causal attention: fused streaming kernel vs dense head loop ------------
 //

@@ -1,8 +1,9 @@
 #include "nn/layers.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <mutex>
+#include <vector>
 
 #include "tensor/fused.hpp"
 #include "util/error.hpp"
@@ -16,6 +17,37 @@ namespace {
 // Row-count grain for parallel per-row loops, targeting ~16K elements/chunk.
 std::int64_t row_grain(std::int64_t cols) {
   return std::max<std::int64_t>(1, (1 << 14) / std::max<std::int64_t>(1, cols));
+}
+
+// accs[k][j] += Σ_i term(i, j)[k] over rows i in [0, rows), for columns j in
+// [0, cols). Column-parallel: each worker owns a column range of ~16K
+// elements (rounded to 16 floats, a 64-byte line), sums it over every row in
+// row order from zero, then adds the sums to accs. The order per column is
+// fixed, so the result does not depend on the thread count. All K sums share
+// one pass over the rows and one parallel region.
+template <std::size_t K, typename Term>
+void accumulate_columns(std::int64_t rows, std::int64_t cols,
+                        std::array<float*, K> accs, Term term) {
+  const std::int64_t grain = (row_grain(rows) + 15) / 16 * 16;
+  parallel_for_range(
+      0, static_cast<std::size_t>(cols), static_cast<std::size_t>(grain),
+      [=](std::size_t lo, std::size_t hi) {
+        const auto j0 = static_cast<std::int64_t>(lo);
+        const auto width = static_cast<std::int64_t>(hi - lo);
+        std::vector<float> local(K * static_cast<std::size_t>(width), 0.0f);
+        float* __restrict pl = local.data();
+        for (std::int64_t i = 0; i < rows; ++i) {
+          for (std::int64_t j = 0; j < width; ++j) {
+            const std::array<float, K> t = term(i, j0 + j);
+            for (std::size_t k = 0; k < K; ++k) pl[k * width + j] += t[k];
+          }
+        }
+        for (std::size_t k = 0; k < K; ++k) {
+          for (std::int64_t j = 0; j < width; ++j) {
+            accs[k][j0 + j] += pl[k * width + j];
+          }
+        }
+      });
 }
 }  // namespace
 
@@ -174,23 +206,12 @@ Tensor Linear::backward(const Tensor& grad_output) {
                    : tensor::matmul_tn(g, cached_input_);
   tensor::add_inplace(weight_.grad, dw);
   if (has_bias_) {
-    const std::int64_t n = g.dim(0), c = g.dim(1);
+    const std::int64_t c = g.dim(1);
     const float* __restrict pg = g.data();
-    float* __restrict pbg = bias_.grad.data();
-    std::mutex merge_mutex;
-    parallel_for_range(
-        0, static_cast<std::size_t>(n), static_cast<std::size_t>(row_grain(c)),
-        [&, pg, pbg, c](std::size_t lo, std::size_t hi) {
-          std::vector<float> local(static_cast<std::size_t>(c), 0.0f);
-          float* __restrict pl = local.data();
-          for (std::size_t i = lo; i < hi; ++i) {
-            const float* __restrict row =
-                pg + static_cast<std::int64_t>(i) * c;
-            for (std::int64_t j = 0; j < c; ++j) pl[j] += row[j];
-          }
-          std::lock_guard<std::mutex> lock(merge_mutex);
-          for (std::int64_t j = 0; j < c; ++j) pbg[j] += pl[j];
-        });
+    accumulate_columns<1>(g.dim(0), c, {bias_.grad.data()},
+                          [pg, c](std::int64_t i, std::int64_t j) {
+                            return std::array<float, 1>{pg[i * c + j]};
+                          });
   }
   // dX [N,in] = g [N,out] * W [out,in]
   if (bf16) return tensor::matmul_bf16(g_bf16, weight_bf16_);
@@ -299,20 +320,10 @@ Tensor LayerNorm::backward(const Tensor& grad_output) {
   const float* __restrict pxn = cached_normalized_.data();
   const float* __restrict pinv = cached_inv_std_.data();
   const float* __restrict pgamma = gamma_.value.data();
-  float* __restrict pgamma_grad = gamma_.grad.data();
-  float* __restrict pbeta_grad = beta_.grad.data();
   float* __restrict pdx = dinput.data();
-  std::mutex merge_mutex;
   parallel_for_range(
       0, static_cast<std::size_t>(n), static_cast<std::size_t>(row_grain(c)),
-      [&, pg, pxn, pinv, pgamma, pgamma_grad, pbeta_grad, pdx,
-       c](std::size_t lo, std::size_t hi) {
-        // Parameter gradients accumulate into chunk-local buffers, merged
-        // under a mutex at the end — rows are disjoint but gamma/beta are not.
-        std::vector<float> dgamma(static_cast<std::size_t>(c), 0.0f);
-        std::vector<float> dbeta(static_cast<std::size_t>(c), 0.0f);
-        float* __restrict pdg = dgamma.data();
-        float* __restrict pdb = dbeta.data();
+      [=](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const float inv_std = pinv[i];
           const float* __restrict g = pg + static_cast<std::int64_t>(i) * c;
@@ -324,8 +335,6 @@ Tensor LayerNorm::backward(const Tensor& grad_output) {
             const double dn = static_cast<double>(g[j]) * pgamma[j];
             mean_dnorm += dn;
             mean_dnorm_xn += dn * xn[j];
-            pdg[j] += g[j] * xn[j];
-            pdb[j] += g[j];
           }
           mean_dnorm /= c;
           mean_dnorm_xn /= c;
@@ -336,11 +345,13 @@ Tensor LayerNorm::backward(const Tensor& grad_output) {
                 inv_std * (dn - mean_dnorm - xn[j] * mean_dnorm_xn));
           }
         }
-        std::lock_guard<std::mutex> lock(merge_mutex);
-        for (std::int64_t j = 0; j < c; ++j) {
-          pgamma_grad[j] += pdg[j];
-          pbeta_grad[j] += pdb[j];
-        }
+      });
+  // Rows are disjoint but gamma/beta are shared: reduce them column-wise.
+  accumulate_columns<2>(
+      n, c, {gamma_.grad.data(), beta_.grad.data()},
+      [pg, pxn, c](std::int64_t i, std::int64_t j) {
+        return std::array<float, 2>{pg[i * c + j] * pxn[i * c + j],
+                                    pg[i * c + j]};
       });
   return dinput;
 }

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 
+#include "tensor/activations.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/workspace.hpp"
 #include "util/error.hpp"
@@ -15,37 +15,7 @@ namespace caraml::tensor::fused {
 
 namespace {
 
-// Branchless single-precision exp (Cephes-style: Cody-Waite range reduction
-// to [-ln2/2, ln2/2], degree-5 polynomial, 2^n reconstruction through the
-// exponent bits). Written without calls or branches so the compiler can
-// auto-vectorize the softmax loops; libm's scalar expf is ~28% of the fused
-// forward at T = 256. Accuracy is a few ulp, far inside the kernel-equivalence
-// tolerances. NaN propagates: the clamps use comparisons that are false for
-// NaN, and NaN times any reconstruction scale stays NaN, so an unmasked NaN
-// score still poisons its row exactly like std::exp would.
-inline float fast_exp(float x) {
-  x = x > 88.0f ? 88.0f : x;    // below inf-overflow threshold
-  x = x < -87.0f ? -87.0f : x;  // stays in normal range (no denormal stalls)
-  const float z = x * 1.44269504f;  // x / ln2
-  const float t = z + 12582912.0f;  // 1.5·2^23: forces round-to-nearest-int
-  std::int32_t n_bits;
-  std::memcpy(&n_bits, &t, sizeof(n_bits));
-  n_bits -= 0x4B400000;  // low mantissa bits of t hold n + bias pattern
-  const float n = t - 12582912.0f;
-  float f = x - n * 0.693359375f;  // Cody-Waite split of ln2
-  f -= n * -2.12194440e-4f;
-  float p = 1.9875691500e-4f;
-  p = p * f + 1.3981999507e-3f;
-  p = p * f + 8.3334519073e-3f;
-  p = p * f + 4.1665795894e-2f;
-  p = p * f + 1.6666665459e-1f;
-  p = p * f + 5.0000001201e-1f;
-  const float r = 1.0f + f + f * f * p;
-  const std::int32_t e_bits = (n_bits + 127) << 23;  // bits of 2^n
-  float pow2n;
-  std::memcpy(&pow2n, &e_bits, sizeof(e_bits));
-  return r * pow2n;
-}
+using detail::fast_exp;
 
 // Stage one head's rows from the packed qkv (row stride `stride`, 3C) into a
 // contiguous [time, head_dim] scratch. The tile GEMMs re-read K and V once

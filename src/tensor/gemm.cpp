@@ -235,19 +235,28 @@ void gemm_direct(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 
 // Apply the epilogue to the C block rows [row0, row0+rows) x cols
 // [col0, col0+cols). Indices are absolute so bias/mask/pre line up with the
-// full output.
+// full output. Each stage is its own branch-free pass over the row segment
+// (in GemmEpilogue's order), so every pass vectorizes — the GELU pass
+// included — and each element sees the same operations as a fused loop.
 void apply_epilogue(const GemmEpilogue& ep, float* c, std::int64_t ldc,
                     std::int64_t row0, std::int64_t rows, std::int64_t col0,
                     std::int64_t cols) {
+  const float* __restrict bias = ep.bias != nullptr ? ep.bias + col0 : nullptr;
   for (std::int64_t i = row0; i < row0 + rows; ++i) {
-    float* __restrict c_row = c + i * ldc;
-    for (std::int64_t j = col0; j < col0 + cols; ++j) {
-      float v = c_row[j];
-      if (ep.bias != nullptr) v += ep.bias[j];
-      if (ep.pre_activation != nullptr) ep.pre_activation[i * ldc + j] = v;
-      if (ep.gelu) v = gelu_scalar(v);
-      if (ep.dropout_mask != nullptr) v *= ep.dropout_mask[i * ldc + j];
-      c_row[j] = v;
+    float* __restrict c_row = c + i * ldc + col0;
+    if (bias != nullptr) {
+      for (std::int64_t j = 0; j < cols; ++j) c_row[j] += bias[j];
+    }
+    if (ep.pre_activation != nullptr) {
+      std::memcpy(ep.pre_activation + i * ldc + col0, c_row,
+                  static_cast<std::size_t>(cols) * sizeof(float));
+    }
+    if (ep.gelu) {
+      for (std::int64_t j = 0; j < cols; ++j) c_row[j] = gelu_scalar(c_row[j]);
+    }
+    if (ep.dropout_mask != nullptr) {
+      const float* __restrict mask = ep.dropout_mask + i * ldc + col0;
+      for (std::int64_t j = 0; j < cols; ++j) c_row[j] *= mask[j];
     }
   }
 }

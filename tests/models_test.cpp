@@ -242,6 +242,8 @@ struct FlopCase {
   ResNetVariant variant;
   double min_flops, max_flops;
 };
+// Names each case by its variant, so the test name is the same in every build.
+void PrintTo(const FlopCase& c, std::ostream* os) { *os << resnet_variant_name(c.variant); }
 class ResNetFlops : public ::testing::TestWithParam<FlopCase> {};
 TEST_P(ResNetFlops, ForwardFlopsInRange) {
   const ResNetModel model = ResNetModel::build(GetParam().variant);

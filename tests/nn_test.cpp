@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "nn/attention.hpp"
 #include "nn/conv.hpp"
@@ -592,6 +599,135 @@ TEST(Adam, ConvergesOnQuadratic) {
   EXPECT_NEAR(w.value[0], 0.0f, 1e-2);
   EXPECT_NEAR(w.value[1], 0.0f, 1e-2);
   EXPECT_EQ(optimizer.step_count(), 300);
+}
+
+// Scalar copy of the original Adam loop, kept as the oracle for the
+// parallel, vectorized Adam::step: same per-element operations in the same
+// order, so the two must agree bit for bit.
+struct AdamReference {
+  float lr, beta1, beta2, eps, weight_decay;
+  std::int64_t t = 0;
+  std::vector<std::vector<float>> m, v;
+
+  void step(std::vector<Parameter>& params) {
+    ++t;
+    const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t));
+    const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t));
+    m.resize(params.size());
+    v.resize(params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      Parameter& p = params[i];
+      m[i].resize(static_cast<std::size_t>(p.numel()), 0.0f);
+      v[i].resize(static_cast<std::size_t>(p.numel()), 0.0f);
+      for (std::int64_t j = 0; j < p.numel(); ++j) {
+        const auto k = static_cast<std::size_t>(j);
+        float g = p.grad[j];
+        if (weight_decay != 0.0f) g += weight_decay * p.value[j];
+        m[i][k] = beta1 * m[i][k] + (1.0f - beta1) * g;
+        v[i][k] = beta2 * v[i][k] + (1.0f - beta2) * g * g;
+        const float m_hat = m[i][k] / bc1;
+        const float v_hat = v[i][k] / bc2;
+        p.value[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+      }
+    }
+  }
+};
+
+TEST(Adam, StepMatchesScalarReferenceExactly) {
+  for (const float weight_decay : {0.0f, 0.01f}) {
+    // Sizes below, at and well above the parallel grain (16K elements).
+    Rng rng(17);
+    std::vector<Parameter> got, want;
+    for (const std::int64_t n : {3, 16384, 100003}) {
+      got.emplace_back("p", Tensor::randn({n}, rng));
+      want.emplace_back("p", got.back().value);
+    }
+    got[0].value[0] = -0.0f;  // a zero gradient must keep the sign of zero
+    want[0].value[0] = -0.0f;
+    std::vector<Parameter*> ptrs;
+    for (Parameter& p : got) ptrs.push_back(&p);
+    Adam adam(ptrs, 1e-2f, 0.9f, 0.999f, 1e-8f, weight_decay);
+    AdamReference reference{1e-2f, 0.9f, 0.999f, 1e-8f,
+                            weight_decay, 0, {}, {}};
+    for (int step = 0; step < 3; ++step) {
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        got[i].grad = Tensor::randn(got[i].value.shape(), rng);
+        got[i].grad[0] = 0.0f;
+        want[i].grad = got[i].grad;
+      }
+      adam.step();
+      reference.step(want);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(std::memcmp(got[i].value.data(), want[i].value.data(),
+                              static_cast<std::size_t>(got[i].numel()) *
+                                  sizeof(float)),
+                  0)
+            << "weight_decay " << weight_decay << ", step " << step
+            << ", param " << i;
+      }
+    }
+  }
+}
+
+// Bias, gamma/beta and Adam reductions must not depend on how rows or
+// elements were split over threads. The pool reads CARAML_NUM_THREADS once
+// at static init, so (as in FusedAttention.DeterministicAcrossThreadCounts)
+// each thread count runs in a child process that dumps raw bytes; the parent
+// asserts the dumps are byte-identical.
+TEST(TrainingStep, DeterministicAcrossThreadCounts) {
+  const char* dump_path = std::getenv("CARAML_NN_DUMP");
+  if (dump_path != nullptr) {
+    Rng rng(91);
+    Linear linear(256, 512, rng, true, 0.05f);
+    linear.set_gelu();
+    LayerNorm norm(512);
+    const Tensor x = Tensor::randn({384, 256}, rng);
+    const Tensor y = linear.forward(x);
+    const Tensor z = norm.forward(y);
+    const Tensor dy = norm.backward(Tensor::randn(z.shape(), rng));
+    const Tensor dx = linear.backward(dy);
+    std::vector<Parameter*> params = linear.parameters();
+    for (Parameter* p : norm.parameters()) params.push_back(p);
+    std::ofstream out(dump_path, std::ios::binary);
+    const auto write_tensor = [&out](const Tensor& t) {
+      out.write(reinterpret_cast<const char*>(t.data()),
+                static_cast<std::streamsize>(t.numel() * sizeof(float)));
+    };
+    for (const Tensor* t : {&y, &z, &dy, &dx}) write_tensor(*t);
+    for (const Parameter* p : params) write_tensor(p->grad);
+    Adam adam(params, 1e-3f, 0.9f, 0.999f, 1e-8f, 0.01f);
+    adam.step();
+    for (const Parameter* p : params) write_tensor(p->value);
+    ASSERT_TRUE(out.good());
+    return;
+  }
+
+  // Resolve our own binary path up front: /proc/self/exe inside the
+  // system() shell would name the shell, not this test.
+  char exe[4096];
+  const ssize_t exe_len = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+  ASSERT_GT(exe_len, 0);
+  exe[exe_len] = '\0';
+
+  std::vector<std::string> dumps;
+  for (const int threads : {1, 2, 8}) {
+    const std::string path = ::testing::TempDir() + "caraml_nn_dump_" +
+                             std::to_string(threads) + ".bin";
+    const std::string cmd =
+        "CARAML_NUM_THREADS=" + std::to_string(threads) +
+        " CARAML_NN_DUMP=" + path + " '" + exe +
+        "' --gtest_filter=TrainingStep.DeterministicAcrossThreadCounts"
+        " > /dev/null 2>&1";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << "child failed: " << cmd;
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << path;
+    dumps.emplace_back(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+    ASSERT_FALSE(dumps.back().empty());
+  }
+  // EXPECT_TRUE, not EXPECT_EQ: the dumps are megabytes of raw floats.
+  EXPECT_TRUE(dumps[0] == dumps[1]) << "1-thread and 2-thread outputs differ";
+  EXPECT_TRUE(dumps[0] == dumps[2]) << "1-thread and 8-thread outputs differ";
 }
 
 TEST(ClipGradNorm, ScalesDownLargeGradients) {

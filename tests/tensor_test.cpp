@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "tensor/activations.hpp"
 #include "tensor/fused.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/reference.hpp"
@@ -177,6 +181,73 @@ TEST(Elementwise, GeluGradientMatchesFiniteDifference) {
     const float fd = (gelu(xp)[i] - gelu(xm)[i]) / (2.0f * eps);
     EXPECT_NEAR(grad[i], fd, 2e-3) << "index " << i;
   }
+}
+
+// fp64 oracle for the tanh-GELU formula and its derivative, evaluated at the
+// exact float input.
+double gelu_oracle(double x) {
+  const double c = std::sqrt(2.0 / M_PI);
+  return 0.5 * x * (1.0 + std::tanh(c * (x + 0.044715 * x * x * x)));
+}
+
+double gelu_grad_oracle(double x) {
+  const double c = std::sqrt(2.0 / M_PI);
+  const double t = std::tanh(c * (x + 0.044715 * x * x * x));
+  return 0.5 * (1.0 + t) +
+         0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x * x);
+}
+
+// gelu/gelu_backward run on the branchless fast_tanh; over a dense grid on
+// [-12, 12] they stay within fixed absolute bounds of the fp64 formula (the
+// float result's own rounding at |x| = 12 is ~5e-7).
+TEST(Elementwise, GeluMatchesFp64OracleOnDenseGrid) {
+  constexpr std::int64_t kPoints = 240001;  // step 1e-4
+  Tensor x({kPoints});
+  for (std::int64_t i = 0; i < kPoints; ++i) {
+    x[i] = static_cast<float>(-12.0 + 1e-4 * static_cast<double>(i));
+  }
+  const Tensor y = gelu(x);
+  const Tensor dy = gelu_backward(x, Tensor::ones({kPoints}));
+  double worst = 0.0, worst_grad = 0.0;
+  for (std::int64_t i = 0; i < kPoints; ++i) {
+    worst = std::max(worst, std::fabs(y[i] - gelu_oracle(x[i])));
+    worst_grad =
+        std::max(worst_grad, std::fabs(dy[i] - gelu_grad_oracle(x[i])));
+  }
+  EXPECT_LE(worst, 1e-6);
+  EXPECT_LE(worst_grad, 4e-6);
+}
+
+TEST(Elementwise, GeluNonFiniteInputs) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor x({3}, {std::numeric_limits<float>::quiet_NaN(), inf, -inf});
+  const Tensor y = gelu(x);
+  EXPECT_TRUE(std::isnan(y[0]));
+  EXPECT_EQ(y[1], inf);
+  EXPECT_TRUE(std::isnan(y[2]));  // -inf * (1 + tanh(-inf)) = -inf * 0
+  const Tensor dy = gelu_backward(x, Tensor::ones({3}));
+  for (std::int64_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(std::isnan(dy[i])) << "index " << i;  // inf * sech^2 = inf * 0
+  }
+}
+
+// Distance in representable floats between two finite floats of equal sign.
+std::int64_t ulp_distance(float a, float b) {
+  std::int32_t ia, ib;
+  std::memcpy(&ia, &a, sizeof(ia));
+  std::memcpy(&ib, &b, sizeof(ib));
+  return std::abs(static_cast<std::int64_t>(ia) - ib);
+}
+
+TEST(FastExp, WithinFewUlpOfStdExp) {
+  std::int64_t worst = 0;
+  for (double x = -87.0; x <= 88.0; x += 1e-3) {
+    const float xf = static_cast<float>(x);
+    worst = std::max(worst, ulp_distance(detail::fast_exp(xf), std::exp(xf)));
+  }
+  EXPECT_LE(worst, 2);
+  EXPECT_TRUE(
+      std::isnan(detail::fast_exp(std::numeric_limits<float>::quiet_NaN())));
 }
 
 // --- reductions -------------------------------------------------------------------

@@ -157,6 +157,8 @@ struct BandwidthCase {
   const char* text;
   double value;
 };
+// Names each case by its input text, so the test name is the same in every build.
+void PrintTo(const BandwidthCase& c, std::ostream* os) { *os << c.text; }
 class BandwidthParse : public ::testing::TestWithParam<BandwidthCase> {};
 TEST_P(BandwidthParse, RoundTrips) {
   EXPECT_DOUBLE_EQ(units::parse_bandwidth(GetParam().text), GetParam().value);
