@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks of the CPU tensor substrate: the GEMM,
-// conv2d and softmax kernels that execute the real (CPU) training path.
+// conv2d, BatchNorm and softmax kernels that execute the real (CPU) training
+// path.
 //
 // All benchmarks use wall time (UseRealTime): the kernels run on the process
 // thread pool, so the main thread's CPU time measures dispatch overhead, not
@@ -15,6 +16,7 @@
 
 #include <cmath>
 
+#include "nn/conv.hpp"
 #include "tensor/dtype.hpp"
 #include "tensor/fused.hpp"
 #include "tensor/gemm.hpp"
@@ -196,6 +198,52 @@ void BM_Conv2dBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2dBackward)->Arg(8)->Arg(16)->Arg(32)->UseRealTime();
+
+// resnet_train shapes: a batch of 64 32x32 feature maps with 16 channels.
+// Pointwise 1x1 convs are 7 of the 13 convs in ResNetConfig::small_bottleneck
+// and take the no-unfold path; forward plus both gradients per iteration.
+void BM_Conv2dPointwise(benchmark::State& state) {
+  Rng rng(1);
+  const Tensor input = Tensor::randn({64, 16, 32, 32}, rng);
+  const Tensor weight = Tensor::randn({16, 16, 1, 1}, rng);
+  const caraml::tensor::Conv2dArgs args;
+  const Tensor grad = Tensor::randn(input.shape(), rng);
+  for (auto _ : state) {
+    Tensor out = caraml::tensor::conv2d(input, weight, args);
+    Tensor dw = caraml::tensor::conv2d_backward_weight(grad, input,
+                                                       weight.shape(), args);
+    Tensor dx = caraml::tensor::conv2d_backward_input(grad, weight,
+                                                      input.shape(), args);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::DoNotOptimize(dx.data());
+  }
+}
+BENCHMARK(BM_Conv2dPointwise)->UseRealTime();
+
+void BM_BatchNorm2dForward(benchmark::State& state) {
+  Rng rng(1);
+  const Tensor input = Tensor::randn({64, 16, 32, 32}, rng);
+  caraml::nn::BatchNorm2d norm(16);
+  for (auto _ : state) {
+    Tensor out = norm.forward(input);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_BatchNorm2dForward)->UseRealTime();
+
+void BM_BatchNorm2dBackward(benchmark::State& state) {
+  Rng rng(1);
+  const Tensor input = Tensor::randn({64, 16, 32, 32}, rng);
+  const Tensor grad = Tensor::randn(input.shape(), rng);
+  caraml::nn::BatchNorm2d norm(16);
+  norm.forward(input);
+  for (auto _ : state) {
+    Tensor dx = norm.backward(grad);
+    benchmark::DoNotOptimize(dx.data());
+  }
+}
+BENCHMARK(BM_BatchNorm2dBackward)->UseRealTime();
 
 void BM_SoftmaxRows(benchmark::State& state) {
   const std::int64_t rows = state.range(0);

@@ -1,5 +1,7 @@
 #include "nn/resnet.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace caraml::nn {
@@ -38,15 +40,18 @@ ResidualBlock::ResidualBlock(std::int64_t in_channels, std::int64_t width,
 }
 
 Tensor ResidualBlock::forward(const Tensor& input) {
-  cached_input_ = input;
-  Tensor main = input;
-  for (auto& layer : main_path_) main = layer->forward(main);
-
-  Tensor shortcut = input;
-  if (shortcut_conv_) {
-    shortcut = shortcut_bn_->forward(shortcut_conv_->forward(input));
+  Tensor main = main_path_.front()->forward(input);
+  for (auto it = main_path_.begin() + 1; it != main_path_.end(); ++it) {
+    main = (*it)->forward(main);
   }
-  cached_pre_relu_ = tensor::add(main, shortcut);
+
+  if (shortcut_conv_) {
+    tensor::add_inplace(main,
+                        shortcut_bn_->forward(shortcut_conv_->forward(input)));
+  } else {
+    tensor::add_inplace(main, input);
+  }
+  cached_pre_relu_ = std::move(main);
   return tensor::relu(cached_pre_relu_);
 }
 
@@ -54,17 +59,19 @@ Tensor ResidualBlock::backward(const Tensor& grad_output) {
   Tensor g = tensor::relu_backward(cached_pre_relu_, grad_output);
 
   // Main path backward (reverse order).
-  Tensor g_main = g;
-  for (auto it = main_path_.rbegin(); it != main_path_.rend(); ++it) {
+  Tensor g_main = main_path_.back()->backward(g);
+  for (auto it = main_path_.rbegin() + 1; it != main_path_.rend(); ++it) {
     g_main = (*it)->backward(g_main);
   }
 
   // Shortcut backward.
-  Tensor g_short = g;
   if (shortcut_conv_) {
-    g_short = shortcut_conv_->backward(shortcut_bn_->backward(g));
+    tensor::add_inplace(g_main,
+                        shortcut_conv_->backward(shortcut_bn_->backward(g)));
+  } else {
+    tensor::add_inplace(g_main, g);
   }
-  return tensor::add(g_main, g_short);
+  return g_main;
 }
 
 std::vector<Parameter*> ResidualBlock::parameters() {

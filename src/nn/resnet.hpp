@@ -34,7 +34,6 @@ class ResidualBlock : public Module {
   std::vector<std::shared_ptr<Module>> main_path_;  // conv/bn/relu sequence
   std::shared_ptr<Conv2d> shortcut_conv_;           // nullptr = identity
   std::shared_ptr<BatchNorm2d> shortcut_bn_;
-  Tensor cached_input_;
   Tensor cached_pre_relu_;
 };
 

@@ -430,6 +430,19 @@ Tensor softmax_rows_backward(const Tensor& y, const Tensor& grad_out) {
 }
 
 // --- conv2d ----------------------------------------------------------------
+//
+// All three conv kernels loop over images, in parallel over the batch, and
+// run one GEMM per image directly in NCHW:
+//
+//   forward          out_img[O, OH*OW]  = W[O, C*kh*kw] * cols_img
+//   backward input   dcols_img          = W^T * g_img          (then col2im)
+//   backward weight  dW[O, C*kh*kw]    += g_img * cols_img^T
+//
+// cols_img is one image unfolded as [C*kh*kw, OH*OW]: a row per kernel tap, a
+// column per output pixel. A 1x1, stride-1, unpadded conv needs no unfold —
+// its cols_img is the input image itself and its dcols_img the dinput image.
+// Every other conv unfolds one image at a time into a per-thread Workspace
+// slab, so scratch memory is one image's columns per worker, not the batch's.
 
 namespace {
 
@@ -438,194 +451,244 @@ std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
   return (in + 2 * padding - kernel) / stride + 1;
 }
 
-// im2col core: write [n*oh*ow, c*kh*kw] patch rows into `cols`, in parallel
-// over contiguous patch ranges.
-void im2col_into(const Tensor& input, std::int64_t kh, std::int64_t kw,
-                 const Conv2dArgs& args, std::int64_t oh, std::int64_t ow,
-                 float* cols) {
-  const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
-                     w = input.dim(3);
-  const std::int64_t patch = c * kh * kw;
-  const float* __restrict src = input.data();
-  parallel_for_range(
-      0, static_cast<std::size_t>(n * oh * ow),
-      static_cast<std::size_t>(row_grain(patch)),
-      [=, &args](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const std::int64_t flat = static_cast<std::int64_t>(idx);
-          const std::int64_t img = flat / (oh * ow);
-          const std::int64_t oy = (flat / ow) % oh;
-          const std::int64_t ox = flat % ow;
-          float* __restrict dst = cols + flat * patch;
-          for (std::int64_t ch = 0; ch < c; ++ch) {
-            for (std::int64_t ky = 0; ky < kh; ++ky) {
-              const std::int64_t iy = oy * args.stride + ky - args.padding;
-              for (std::int64_t kx = 0; kx < kw; ++kx) {
-                const std::int64_t ix = ox * args.stride + kx - args.padding;
-                float value = 0.0f;
-                if (iy >= 0 && iy < h && ix >= 0 && ix < w) {
-                  value = src[((img * c + ch) * h + iy) * w + ix];
-                }
-                *dst++ = value;
-              }
-            }
-          }
-        }
-      });
+struct ConvGeometry {
+  std::int64_t n, c, h, w;  // input
+  std::int64_t o, kh, kw;   // weight
+  std::int64_t oh, ow;      // output
+  std::int64_t stride, padding;
+
+  std::int64_t patch() const { return c * kh * kw; }
+  std::int64_t pixels() const { return oh * ow; }
+  bool pointwise() const {
+    return kh == 1 && kw == 1 && stride == 1 && padding == 0;
+  }
+};
+
+ConvGeometry conv_geometry(const Shape& input, const Shape& weight,
+                           const Conv2dArgs& args) {
+  CARAML_CHECK_MSG(input.size() == 4 && weight.size() == 4,
+                   "conv2d needs NCHW input and OCHW weight");
+  CARAML_CHECK_MSG(weight[1] == input[1], "conv2d channel mismatch");
+  CARAML_CHECK_MSG(args.stride > 0 && args.padding >= 0,
+                   "conv2d needs stride > 0 and padding >= 0");
+  ConvGeometry g{input[0], input[1], input[2], input[3], weight[0],
+                 weight[2], weight[3], 0, 0, args.stride, args.padding};
+  g.oh = conv_out_size(g.h, g.kh, g.stride, g.padding);
+  g.ow = conv_out_size(g.w, g.kw, g.stride, g.padding);
+  CARAML_CHECK_MSG(g.oh > 0 && g.ow > 0, "conv output would be empty");
+  return g;
 }
 
-// Transpose grad_out [n, o, oh*ow] (NCHW) into GEMM row layout [n*oh*ow, o],
-// in parallel over pixel ranges (contiguous writes, strided reads).
-void nchw_to_rows(const float* src, std::int64_t n, std::int64_t o,
-                  std::int64_t pixels, float* dst) {
-  parallel_for_range(
-      0, static_cast<std::size_t>(n * pixels),
-      static_cast<std::size_t>(row_grain(o)),
-      [=](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const std::int64_t flat = static_cast<std::int64_t>(idx);
-          const std::int64_t img = flat / pixels;
-          const std::int64_t pixel = flat % pixels;
-          const float* __restrict s = src + (img * o) * pixels + pixel;
-          float* __restrict d = dst + flat * o;
-          for (std::int64_t ch = 0; ch < o; ++ch) d[ch] = s[ch * pixels];
-        }
-      });
+void check_grad_out(const Tensor& grad_out, const ConvGeometry& g) {
+  CARAML_CHECK_MSG(grad_out.shape() == Shape({g.n, g.o, g.oh, g.ow}),
+                   "conv2d backward: grad_out " +
+                       shape_to_string(grad_out.shape()) +
+                       " does not match the conv output shape");
 }
+
+// Output coordinates [lo, hi) along one axis whose input coordinate
+// out * stride + tap - padding lies inside [0, extent).
+struct TapRange {
+  std::int64_t lo, hi;
+};
+TapRange tap_range(std::int64_t extent, std::int64_t out, std::int64_t tap,
+                   const ConvGeometry& g) {
+  const std::int64_t shift = tap - g.padding;
+  const std::int64_t lo =
+      std::min(out, shift >= 0 ? 0 : (g.stride - 1 - shift) / g.stride);
+  const std::int64_t last = extent - 1 - shift;
+  const std::int64_t hi = last < 0 ? lo : std::min(out, last / g.stride + 1);
+  return {lo, std::max(lo, hi)};
+}
+
+// Unfold one image src[c, h, w] into cols[c*kh*kw, oh*ow]; taps that land in
+// the padding read 0.
+void im2col_image(const float* __restrict src, const ConvGeometry& g,
+                  float* __restrict cols) {
+  for (std::int64_t ch = 0; ch < g.c; ++ch) {
+    const float* __restrict plane = src + ch * g.h * g.w;
+    for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+      const TapRange ys = tap_range(g.h, g.oh, ky, g);
+      for (std::int64_t kx = 0; kx < g.kw; ++kx) {
+        const TapRange xs = tap_range(g.w, g.ow, kx, g);
+        float* __restrict row =
+            cols + ((ch * g.kh + ky) * g.kw + kx) * g.pixels();
+        for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+          float* __restrict dst = row + oy * g.ow;
+          if (oy < ys.lo || oy >= ys.hi) {
+            std::fill(dst, dst + g.ow, 0.0f);
+            continue;
+          }
+          const float* __restrict line =
+              plane + (oy * g.stride + ky - g.padding) * g.w;
+          std::fill(dst, dst + xs.lo, 0.0f);
+          for (std::int64_t ox = xs.lo; ox < xs.hi; ++ox) {
+            dst[ox] = line[ox * g.stride + kx - g.padding];
+          }
+          std::fill(dst + xs.hi, dst + g.ow, 0.0f);
+        }
+      }
+    }
+  }
+}
+
+// The adjoint of im2col_image: add cols[c*kh*kw, oh*ow] back onto one image
+// dst[c, h, w], tap by tap.
+void col2im_image(const float* __restrict cols, const ConvGeometry& g,
+                  float* __restrict dst) {
+  for (std::int64_t ch = 0; ch < g.c; ++ch) {
+    float* __restrict plane = dst + ch * g.h * g.w;
+    for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+      const TapRange ys = tap_range(g.h, g.oh, ky, g);
+      for (std::int64_t kx = 0; kx < g.kw; ++kx) {
+        const TapRange xs = tap_range(g.w, g.ow, kx, g);
+        const float* __restrict row =
+            cols + ((ch * g.kh + ky) * g.kw + kx) * g.pixels();
+        for (std::int64_t oy = ys.lo; oy < ys.hi; ++oy) {
+          const float* __restrict src = row + oy * g.ow;
+          float* __restrict line =
+              plane + (oy * g.stride + ky - g.padding) * g.w;
+          for (std::int64_t ox = xs.lo; ox < xs.hi; ++ox) {
+            line[ox * g.stride + kx - g.padding] += src[ox];
+          }
+        }
+      }
+    }
+  }
+}
+
+// One image's [c*kh*kw, oh*ow] scratch: borrowed from this thread's
+// workspace on first use, then reused for the rest of the chunk.
+float* image_slab(const ConvGeometry& g, Workspace::Buffer& slab) {
+  if (slab.size() == 0) {
+    slab = Workspace::local().take(
+        static_cast<std::size_t>(g.patch() * g.pixels()));
+  }
+  return slab.data();
+}
+
+// cols_img of one image: the image itself for a pointwise conv, else the
+// image unfolded into its slab.
+const float* image_cols(const float* image, const ConvGeometry& g,
+                        Workspace::Buffer& slab) {
+  if (g.pointwise()) return image;
+  float* cols = image_slab(g, slab);
+  im2col_image(image, g, cols);
+  return cols;
+}
+
+// Run body(img, slab) for every image of the batch, in parallel chunks of
+// images that share one slab. Nested GEMMs run inline on the worker that
+// owns the image.
+template <typename F>
+void for_each_image(std::int64_t n, F&& body) {
+  parallel_for_range(0, static_cast<std::size_t>(n), 1,
+                     [&body](std::size_t lo, std::size_t hi) {
+                       Workspace::Buffer slab;
+                       for (std::size_t img = lo; img < hi; ++img) {
+                         body(static_cast<std::int64_t>(img), slab);
+                       }
+                     });
+}
+
+// dW is reduced over at most this many contiguous image groups, each
+// accumulated image by image into its own partial and then summed in group
+// order. The groups depend only on the batch size, so dW is bit-identical
+// at every thread count, and scratch stays below this many weight copies.
+constexpr std::int64_t kConvWeightGroups = 8;
 
 }  // namespace
 
 Tensor im2col(const Tensor& input, std::int64_t kh, std::int64_t kw,
               const Conv2dArgs& args) {
   CARAML_CHECK_MSG(input.rank() == 4, "im2col needs NCHW input");
-  const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
-                     w = input.dim(3);
-  const std::int64_t oh = conv_out_size(h, kh, args.stride, args.padding);
-  const std::int64_t ow = conv_out_size(w, kw, args.stride, args.padding);
-  CARAML_CHECK_MSG(oh > 0 && ow > 0, "conv output would be empty");
-  Tensor cols({n * oh * ow, c * kh * kw});
-  im2col_into(input, kh, kw, args, oh, ow, cols.data());
+  const ConvGeometry g =
+      conv_geometry(input.shape(), {1, input.dim(1), kh, kw}, args);
+  Tensor cols({g.n, g.patch(), g.pixels()});
+  for (std::int64_t img = 0; img < g.n; ++img) {
+    im2col_image(input.data() + img * g.c * g.h * g.w, g,
+                 cols.data() + img * g.patch() * g.pixels());
+  }
   return cols;
 }
 
 Tensor conv2d(const Tensor& input, const Tensor& weight,
               const Conv2dArgs& args) {
-  CARAML_CHECK_MSG(input.rank() == 4 && weight.rank() == 4,
-                   "conv2d needs NCHW input and OCHW weight");
-  const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
-                     w = input.dim(3);
-  const std::int64_t o = weight.dim(0), kh = weight.dim(2), kw = weight.dim(3);
-  CARAML_CHECK_MSG(weight.dim(1) == c, "conv2d channel mismatch");
-  const std::int64_t oh = conv_out_size(h, kh, args.stride, args.padding);
-  const std::int64_t ow = conv_out_size(w, kw, args.stride, args.padding);
-  CARAML_CHECK_MSG(oh > 0 && ow > 0, "conv output would be empty");
-
-  const std::int64_t rows = n * oh * ow;     // one row per output pixel
-  const std::int64_t patch = c * kh * kw;    // im2col row width
-  Workspace& workspace = Workspace::local();
-  Workspace::Buffer cols = workspace.take(static_cast<std::size_t>(rows * patch));
-  im2col_into(input, kh, kw, args, oh, ow, cols.data());
-
-  // [rows, patch] x weight[o, patch]^T -> [rows, o]; weight's OCHW layout is
-  // already the [o, patch] GEMM operand, no reshape copy needed.
-  Workspace::Buffer out2 =
-      workspace.take_zeroed(static_cast<std::size_t>(rows * o));
-  detail::gemm(false, true, rows, o, patch, cols.data(), patch, weight.data(),
-               patch, out2.data(), o);
-
-  // Rearrange [n*oh*ow, o] -> [n, o, oh, ow].
-  Tensor out({n, o, oh, ow});
-  const float* __restrict src = out2.data();
-  float* __restrict dst = out.data();
-  const std::int64_t pixels = oh * ow;
-  parallel_for_range(
-      0, static_cast<std::size_t>(rows), static_cast<std::size_t>(row_grain(o)),
-      [=](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const std::int64_t flat = static_cast<std::int64_t>(idx);
-          const std::int64_t img = flat / pixels;
-          const std::int64_t pixel = flat % pixels;
-          const float* __restrict s = src + flat * o;
-          float* __restrict d = dst + (img * o) * pixels + pixel;
-          for (std::int64_t ch = 0; ch < o; ++ch) d[ch * pixels] = s[ch];
-        }
-      });
+  const ConvGeometry g = conv_geometry(input.shape(), weight.shape(), args);
+  Tensor out({g.n, g.o, g.oh, g.ow});
+  const float* src = input.data();
+  float* dst = out.data();
+  // OCHW weight is already the [o, patch] GEMM operand.
+  for_each_image(g.n, [&](std::int64_t img, Workspace::Buffer& slab) {
+    const float* cols = image_cols(src + img * g.c * g.h * g.w, g, slab);
+    detail::gemm(false, false, g.o, g.pixels(), g.patch(), weight.data(),
+                 g.patch(), cols, g.pixels(), dst + img * g.o * g.pixels(),
+                 g.pixels());
+  });
   return out;
 }
 
 Tensor conv2d_backward_weight(const Tensor& grad_out, const Tensor& input,
                               const Shape& weight_shape,
                               const Conv2dArgs& args) {
-  const std::int64_t n = input.dim(0);
-  const std::int64_t o = weight_shape[0], c = weight_shape[1],
-                     kh = weight_shape[2], kw = weight_shape[3];
-  const std::int64_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-  const std::int64_t rows = n * oh * ow;
-  const std::int64_t patch = c * kh * kw;
-
-  Workspace& workspace = Workspace::local();
-  Workspace::Buffer cols = workspace.take(static_cast<std::size_t>(rows * patch));
-  im2col_into(input, kh, kw, args, oh, ow, cols.data());
-
-  // grad_out as [n*oh*ow, o].
-  Workspace::Buffer g2 = workspace.take(static_cast<std::size_t>(rows * o));
-  nchw_to_rows(grad_out.data(), n, o, oh * ow, g2.data());
-
-  // dW[o, patch] = g2^T [o, rows] * cols [rows, patch].
-  Tensor dw2({o, patch});
-  detail::gemm(true, false, o, patch, rows, g2.data(), o, cols.data(), patch,
-               dw2.data(), patch);
-  return dw2.reshape({o, c, kh, kw});
+  const ConvGeometry g = conv_geometry(input.shape(), weight_shape, args);
+  check_grad_out(grad_out, g);
+  const std::int64_t groups =
+      std::max<std::int64_t>(1, std::min(g.n, kConvWeightGroups));
+  const std::int64_t numel = g.o * g.patch();
+  Tensor dw(weight_shape);
+  // Group 0 accumulates straight into dw, the others into partials.
+  Workspace::Buffer partials = Workspace::local().take_zeroed(
+      static_cast<std::size_t>((groups - 1) * numel));
+  const float* src = input.data();
+  const float* grad = grad_out.data();
+  parallel_for_range(
+      0, static_cast<std::size_t>(groups), 1,
+      [&](std::size_t lo, std::size_t hi) {
+        Workspace::Buffer slab;
+        for (std::size_t grp = lo; grp < hi; ++grp) {
+          const std::int64_t group = static_cast<std::int64_t>(grp);
+          float* acc =
+              group == 0 ? dw.data() : partials.data() + (group - 1) * numel;
+          for (std::int64_t img = group * g.n / groups;
+               img < (group + 1) * g.n / groups; ++img) {
+            const float* cols =
+                image_cols(src + img * g.c * g.h * g.w, g, slab);
+            detail::gemm(false, true, g.o, g.patch(), g.pixels(),
+                         grad + img * g.o * g.pixels(), g.pixels(), cols,
+                         g.pixels(), acc, g.patch());
+          }
+        }
+      });
+  float* __restrict out = dw.data();
+  for (std::int64_t group = 1; group < groups; ++group) {
+    const float* __restrict part = partials.data() + (group - 1) * numel;
+    for (std::int64_t i = 0; i < numel; ++i) out[i] += part[i];
+  }
+  return dw;
 }
 
 Tensor conv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
                              const Shape& input_shape, const Conv2dArgs& args) {
-  const std::int64_t n = input_shape[0], c = input_shape[1],
-                     h = input_shape[2], w = input_shape[3];
-  const std::int64_t o = weight.dim(0), kh = weight.dim(2), kw = weight.dim(3);
-  const std::int64_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-  const std::int64_t rows = n * oh * ow;
-  const std::int64_t patch = c * kh * kw;
-
-  // g2 [n*oh*ow, o] * W [o, patch] -> col gradients [n*oh*ow, patch].
-  Workspace& workspace = Workspace::local();
-  Workspace::Buffer g2 = workspace.take(static_cast<std::size_t>(rows * o));
-  nchw_to_rows(grad_out.data(), n, o, oh * ow, g2.data());
-  Workspace::Buffer dcols =
-      workspace.take_zeroed(static_cast<std::size_t>(rows * patch));
-  detail::gemm(false, false, rows, patch, o, g2.data(), o, weight.data(), patch,
-               dcols.data(), patch);
-
-  // col2im scatter-add, parallel over (image, channel) pairs: each pair owns
-  // a disjoint h*w slab of dinput, so the += is race-free.
-  Tensor dinput({n, c, h, w});
-  const float* __restrict src = dcols.data();
-  float* __restrict dst = dinput.data();
-  parallel_for_range(
-      0, static_cast<std::size_t>(n * c), 1,
-      [=, &args](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const std::int64_t img = static_cast<std::int64_t>(idx) / c;
-          const std::int64_t ch = static_cast<std::int64_t>(idx) % c;
-          float* __restrict plane = dst + (img * c + ch) * h * w;
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            for (std::int64_t ox = 0; ox < ow; ++ox) {
-              const std::int64_t flat = (img * oh + oy) * ow + ox;
-              const float* __restrict patch_src =
-                  src + flat * patch + ch * kh * kw;
-              for (std::int64_t ky = 0; ky < kh; ++ky) {
-                const std::int64_t iy = oy * args.stride + ky - args.padding;
-                if (iy < 0 || iy >= h) continue;
-                for (std::int64_t kx = 0; kx < kw; ++kx) {
-                  const std::int64_t ix = ox * args.stride + kx - args.padding;
-                  if (ix < 0 || ix >= w) continue;
-                  plane[iy * w + ix] += patch_src[ky * kw + kx];
-                }
-              }
-            }
-          }
-        }
-      });
+  const ConvGeometry g = conv_geometry(input_shape, weight.shape(), args);
+  check_grad_out(grad_out, g);
+  Tensor dinput(input_shape);
+  const float* grad = grad_out.data();
+  float* dst = dinput.data();
+  for_each_image(g.n, [&](std::int64_t img, Workspace::Buffer& slab) {
+    const float* g_img = grad + img * g.o * g.pixels();
+    float* d_img = dst + img * g.c * g.h * g.w;
+    if (g.pointwise()) {
+      detail::gemm(true, false, g.c, g.pixels(), g.o, weight.data(), g.c,
+                   g_img, g.pixels(), d_img, g.pixels());
+      return;
+    }
+    float* dcols = image_slab(g, slab);
+    std::fill(dcols, dcols + g.patch() * g.pixels(), 0.0f);
+    detail::gemm(true, false, g.patch(), g.pixels(), g.o, weight.data(),
+                 g.patch(), g_img, g.pixels(), dcols, g.pixels());
+    col2im_image(dcols, g, d_img);
+  });
   return dinput;
 }
 
@@ -649,14 +712,18 @@ Tensor maxpool2d(const Tensor& input, std::int64_t kernel,
           const std::int64_t base = static_cast<std::int64_t>(plane);
           for (std::int64_t oy = 0; oy < oh; ++oy) {
             for (std::int64_t ox = 0; ox < ow; ++ox) {
-              float best = -1e30f;
-              std::int64_t best_index = 0;
+              // Seeded from the window's own first element, so an all -inf
+              // window yields -inf and its gradient stays in this plane; a
+              // NaN anywhere in the window wins and propagates.
+              std::int64_t best_index =
+                  (base * h + oy * kernel) * w + ox * kernel;
+              float best = src[best_index];
               for (std::int64_t ky = 0; ky < kernel; ++ky) {
                 for (std::int64_t kx = 0; kx < kernel; ++kx) {
                   const std::int64_t iy = oy * kernel + ky;
                   const std::int64_t ix = ox * kernel + kx;
                   const std::int64_t flat = (base * h + iy) * w + ix;
-                  if (src[flat] > best) {
+                  if (src[flat] > best || std::isnan(src[flat])) {
                     best = src[flat];
                     best_index = flat;
                   }

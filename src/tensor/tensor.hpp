@@ -106,9 +106,11 @@ struct Conv2dArgs {
   std::int64_t stride = 1;
   std::int64_t padding = 0;
 };
-/// input [N,C,H,W], weight [O,C,kh,kw] -> output [N,O,H',W'] via im2col GEMM.
+/// input [N,C,H,W], weight [O,C,kh,kw] -> output [N,O,H',W'], one GEMM per
+/// image (parallel over the batch); 1x1 stride-1 unpadded convs skip im2col.
 Tensor conv2d(const Tensor& input, const Tensor& weight, const Conv2dArgs& args);
-/// Gradients of conv2d; returns dInput and writes dWeight.
+/// Gradients of conv2d: dInput, and dWeight reduced in a fixed image order
+/// (bit-identical at every thread count).
 Tensor conv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
                              const Shape& input_shape, const Conv2dArgs& args);
 Tensor conv2d_backward_weight(const Tensor& grad_out, const Tensor& input,
@@ -126,6 +128,8 @@ Tensor global_avg_pool(const Tensor& input);
 Tensor global_avg_pool_backward(const Tensor& grad_out, const Shape& input_shape);
 
 // --- im2col (exposed for tests) --------------------------------------------
+/// Per-image unfold [N,C,H,W] -> [N, C*kh*kw, OH*OW]: one row per kernel tap,
+/// one column per output pixel (padding reads 0).
 Tensor im2col(const Tensor& input, std::int64_t kh, std::int64_t kw,
               const Conv2dArgs& args);
 

@@ -478,6 +478,70 @@ TEST(BatchNorm, GradientsMatchFiniteDifference) {
   check_gradients(layer, x, 1e-2f, 6e-2f, 1, 1);
 }
 
+// Forward output, running statistics and all three gradients against fp64
+// loops, at a shape whose per-channel reduction spans many planes.
+TEST(BatchNorm, MatchesFp64Reference) {
+  const std::int64_t n = 16, c = 6, h = 16, w = 16, plane = h * w;
+  const double count = static_cast<double>(n * plane);
+  const float eps = 1e-5f, momentum = 0.1f;
+  Rng rng(24);
+  BatchNorm2d layer(c, eps, momentum);
+  Parameter& gamma = *layer.parameters()[0];
+  Parameter& beta = *layer.parameters()[1];
+  gamma.value = Tensor::randn({c}, rng);
+  beta.value = Tensor::randn({c}, rng);
+  Tensor x = Tensor::randn({n, c, h, w}, rng, 2.0f);
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] += static_cast<float>((i / plane) % c);  // a distinct mean per channel
+  }
+  const Tensor g = Tensor::randn(x.shape(), rng);
+  const Tensor y = layer.forward(x);
+  const Tensor dx = layer.backward(g);
+
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    const auto at = [&](std::int64_t img, std::int64_t i) {
+      return (img * c + ch) * plane + i;
+    };
+    double mean = 0.0, var = 0.0, sum_g = 0.0, sum_g_xhat = 0.0;
+    for (std::int64_t img = 0; img < n; ++img) {
+      for (std::int64_t i = 0; i < plane; ++i) mean += x[at(img, i)];
+    }
+    mean /= count;
+    for (std::int64_t img = 0; img < n; ++img) {
+      for (std::int64_t i = 0; i < plane; ++i) {
+        var += (x[at(img, i)] - mean) * (x[at(img, i)] - mean);
+      }
+    }
+    var /= count;
+    const double inv_std = 1.0 / std::sqrt(var + eps);
+    for (std::int64_t img = 0; img < n; ++img) {
+      for (std::int64_t i = 0; i < plane; ++i) {
+        const double xhat = (x[at(img, i)] - mean) * inv_std;
+        sum_g += g[at(img, i)];
+        sum_g_xhat += g[at(img, i)] * xhat;
+      }
+    }
+    EXPECT_NEAR(layer.running_mean()[ch], momentum * mean, 1e-5);
+    EXPECT_NEAR(layer.running_var()[ch], (1 - momentum) + momentum * var,
+                1e-5);
+    EXPECT_NEAR(gamma.grad[ch], sum_g_xhat, 1e-3);
+    EXPECT_NEAR(beta.grad[ch], sum_g, 1e-3);
+    for (std::int64_t img = 0; img < n; ++img) {
+      for (std::int64_t i = 0; i < plane; ++i) {
+        const double xhat = (x[at(img, i)] - mean) * inv_std;
+        ASSERT_NEAR(y[at(img, i)], gamma.value[ch] * xhat + beta.value[ch],
+                    1e-4)
+            << "channel " << ch << " image " << img << " element " << i;
+        const double want_dx =
+            gamma.value[ch] * inv_std *
+            (g[at(img, i)] - sum_g / count - xhat * sum_g_xhat / count);
+        ASSERT_NEAR(dx[at(img, i)], want_dx, 1e-4)
+            << "channel " << ch << " image " << img << " element " << i;
+      }
+    }
+  }
+}
+
 TEST(MaxPoolModule, RoundTrip) {
   Rng rng(24);
   MaxPool2d layer(2);
@@ -669,39 +733,13 @@ TEST(Adam, StepMatchesScalarReferenceExactly) {
   }
 }
 
-// Bias, gamma/beta and Adam reductions must not depend on how rows or
-// elements were split over threads. The pool reads CARAML_NUM_THREADS once
-// at static init, so (as in FusedAttention.DeterministicAcrossThreadCounts)
-// each thread count runs in a child process that dumps raw bytes; the parent
-// asserts the dumps are byte-identical.
-TEST(TrainingStep, DeterministicAcrossThreadCounts) {
-  const char* dump_path = std::getenv("CARAML_NN_DUMP");
-  if (dump_path != nullptr) {
-    Rng rng(91);
-    Linear linear(256, 512, rng, true, 0.05f);
-    linear.set_gelu();
-    LayerNorm norm(512);
-    const Tensor x = Tensor::randn({384, 256}, rng);
-    const Tensor y = linear.forward(x);
-    const Tensor z = norm.forward(y);
-    const Tensor dy = norm.backward(Tensor::randn(z.shape(), rng));
-    const Tensor dx = linear.backward(dy);
-    std::vector<Parameter*> params = linear.parameters();
-    for (Parameter* p : norm.parameters()) params.push_back(p);
-    std::ofstream out(dump_path, std::ios::binary);
-    const auto write_tensor = [&out](const Tensor& t) {
-      out.write(reinterpret_cast<const char*>(t.data()),
-                static_cast<std::streamsize>(t.numel() * sizeof(float)));
-    };
-    for (const Tensor* t : {&y, &z, &dy, &dx}) write_tensor(*t);
-    for (const Parameter* p : params) write_tensor(p->grad);
-    Adam adam(params, 1e-3f, 0.9f, 0.999f, 1e-8f, 0.01f);
-    adam.step();
-    for (const Parameter* p : params) write_tensor(p->value);
-    ASSERT_TRUE(out.good());
-    return;
-  }
-
+// Reductions must not depend on how rows, elements, images or channels were
+// split over threads. The pool reads CARAML_NUM_THREADS once at static init,
+// so (as in FusedAttention.DeterministicAcrossThreadCounts) each thread count
+// runs in a child process that re-runs `test` with `dump_env` set and dumps
+// raw bytes; the parent asserts the dumps are byte-identical.
+void expect_identical_dumps_across_thread_counts(const std::string& dump_env,
+                                                 const std::string& test) {
   // Resolve our own binary path up front: /proc/self/exe inside the
   // system() shell would name the shell, not this test.
   char exe[4096];
@@ -712,12 +750,10 @@ TEST(TrainingStep, DeterministicAcrossThreadCounts) {
   std::vector<std::string> dumps;
   for (const int threads : {1, 2, 8}) {
     const std::string path = ::testing::TempDir() + "caraml_nn_dump_" +
-                             std::to_string(threads) + ".bin";
-    const std::string cmd =
-        "CARAML_NUM_THREADS=" + std::to_string(threads) +
-        " CARAML_NN_DUMP=" + path + " '" + exe +
-        "' --gtest_filter=TrainingStep.DeterministicAcrossThreadCounts"
-        " > /dev/null 2>&1";
+                             dump_env + "_" + std::to_string(threads) + ".bin";
+    const std::string cmd = "CARAML_NUM_THREADS=" + std::to_string(threads) +
+                            " " + dump_env + "=" + path + " '" + exe +
+                            "' --gtest_filter=" + test + " > /dev/null 2>&1";
     ASSERT_EQ(std::system(cmd.c_str()), 0) << "child failed: " << cmd;
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.good()) << path;
@@ -728,6 +764,80 @@ TEST(TrainingStep, DeterministicAcrossThreadCounts) {
   // EXPECT_TRUE, not EXPECT_EQ: the dumps are megabytes of raw floats.
   EXPECT_TRUE(dumps[0] == dumps[1]) << "1-thread and 2-thread outputs differ";
   EXPECT_TRUE(dumps[0] == dumps[2]) << "1-thread and 8-thread outputs differ";
+}
+
+void write_tensor(std::ofstream& out, const Tensor& t) {
+  out.write(reinterpret_cast<const char*>(t.data()),
+            static_cast<std::streamsize>(t.numel() * sizeof(float)));
+}
+
+TEST(TrainingStep, DeterministicAcrossThreadCounts) {
+  const char* dump_path = std::getenv("CARAML_NN_DUMP");
+  if (dump_path == nullptr) {
+    expect_identical_dumps_across_thread_counts(
+        "CARAML_NN_DUMP", "TrainingStep.DeterministicAcrossThreadCounts");
+    return;
+  }
+  Rng rng(91);
+  Linear linear(256, 512, rng, true, 0.05f);
+  linear.set_gelu();
+  LayerNorm norm(512);
+  const Tensor x = Tensor::randn({384, 256}, rng);
+  const Tensor y = linear.forward(x);
+  const Tensor z = norm.forward(y);
+  const Tensor dy = norm.backward(Tensor::randn(z.shape(), rng));
+  const Tensor dx = linear.backward(dy);
+  std::vector<Parameter*> params = linear.parameters();
+  for (Parameter* p : norm.parameters()) params.push_back(p);
+  std::ofstream out(dump_path, std::ios::binary);
+  for (const Tensor* t : {&y, &z, &dy, &dx}) write_tensor(out, *t);
+  for (const Parameter* p : params) write_tensor(out, p->grad);
+  Adam adam(params, 1e-3f, 0.9f, 0.999f, 1e-8f, 0.01f);
+  adam.step();
+  for (const Parameter* p : params) write_tensor(out, p->value);
+  ASSERT_TRUE(out.good());
+}
+
+// The conv and BatchNorm kernels split work over images (conv forward and
+// input gradient), fixed image groups (conv weight gradient) and channels
+// (BatchNorm): one small_bottleneck train step plus an SGD step, and a
+// standalone strided conv + BatchNorm for the running statistics.
+TEST(TrainingStep, ResNetDeterministicAcrossThreadCounts) {
+  const char* dump_path = std::getenv("CARAML_RESNET_DUMP");
+  if (dump_path == nullptr) {
+    expect_identical_dumps_across_thread_counts(
+        "CARAML_RESNET_DUMP",
+        "TrainingStep.ResNetDeterministicAcrossThreadCounts");
+    return;
+  }
+  Rng rng(92);
+  ResNet model(ResNetConfig::small_bottleneck(10), rng);
+  const Tensor images = Tensor::randn({12, 3, 16, 16}, rng);
+  std::vector<std::int64_t> labels;
+  for (std::int64_t i = 0; i < images.dim(0); ++i) labels.push_back(i % 10);
+  const Tensor logits = model.forward(images);
+  const LossResult loss = softmax_cross_entropy(logits, labels);
+  const Tensor dimages = model.backward(loss.grad_logits);
+
+  Conv2d conv(3, 16, 3, 2, 1, rng);
+  BatchNorm2d norm(16);
+  const Tensor features = norm.forward(conv.forward(images));
+  const Tensor dfeatures =
+      conv.backward(norm.backward(Tensor::randn(features.shape(), rng)));
+
+  std::vector<Parameter*> params = model.parameters();
+  for (Parameter* p : conv.parameters()) params.push_back(p);
+  for (Parameter* p : norm.parameters()) params.push_back(p);
+  std::ofstream out(dump_path, std::ios::binary);
+  for (const Tensor* t : {&logits, &dimages, &features, &dfeatures,
+                          &norm.running_mean(), &norm.running_var()}) {
+    write_tensor(out, *t);
+  }
+  for (const Parameter* p : params) write_tensor(out, p->grad);
+  Sgd sgd(params, 0.05f, 0.9f);
+  sgd.step();
+  for (const Parameter* p : params) write_tensor(out, p->value);
+  ASSERT_TRUE(out.good());
 }
 
 TEST(ClipGradNorm, ScalesDownLargeGradients) {

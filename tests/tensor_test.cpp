@@ -365,6 +365,19 @@ TEST(Softmax, BackwardMatchesFiniteDifference) {
 struct ConvCase {
   int n, c, h, o, k, stride, padding;
 };
+
+// Covers every per-image branch of the conv kernels: pointwise 1x1 (no
+// unfold), strided 1x1 and padded/strided kxk (unfold + col2im), and a batch
+// with more images than pool chunks and than dW reduction groups.
+const ConvCase kConvCases[] = {
+    {1, 1, 5, 1, 3, 1, 1},   {2, 3, 8, 4, 3, 1, 1},  {1, 2, 9, 3, 3, 2, 1},
+    {2, 4, 7, 2, 1, 1, 0},   {1, 3, 12, 5, 7, 2, 3}, {3, 2, 6, 2, 3, 3, 0},
+    {3, 16, 8, 12, 1, 1, 0},  // pointwise 1x1 s1 p0
+    {2, 8, 8, 16, 1, 2, 0},   // strided 1x1 (projection shortcut)
+    {2, 4, 8, 8, 3, 2, 1},    // 3x3 s2 p1
+    {37, 3, 6, 4, 3, 1, 1},   // batch larger than the pool
+};
+
 class ConvSweep : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvSweep, MatchesNaiveReference) {
@@ -379,14 +392,74 @@ TEST_P(ConvSweep, MatchesNaiveReference) {
                1e-3f);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Tensor, ConvSweep,
-    ::testing::Values(ConvCase{1, 1, 5, 1, 3, 1, 1},
-                      ConvCase{2, 3, 8, 4, 3, 1, 1},
-                      ConvCase{1, 2, 9, 3, 3, 2, 1},
-                      ConvCase{2, 4, 7, 2, 1, 1, 0},
-                      ConvCase{1, 3, 12, 5, 7, 2, 3},
-                      ConvCase{3, 2, 6, 2, 3, 3, 0}));
+INSTANTIATE_TEST_SUITE_P(Tensor, ConvSweep, ::testing::ValuesIn(kConvCases));
+
+// Direct fp64 loops for both conv gradients: dinput[n,c,y,x] and
+// dweight[o,c,ky,kx] summed straight from grad_out, no unfold.
+void naive_conv2d_backward(const Tensor& grad_out, const Tensor& input,
+                           const Tensor& weight, const Conv2dArgs& args,
+                           Tensor* dinput, Tensor* dweight) {
+  const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
+                     w = input.dim(3);
+  const std::int64_t o = weight.dim(0), kh = weight.dim(2), kw = weight.dim(3);
+  const std::int64_t oh = grad_out.dim(2), ow = grad_out.dim(3);
+  std::vector<double> dx(static_cast<std::size_t>(input.numel()), 0.0);
+  std::vector<double> dw(static_cast<std::size_t>(weight.numel()), 0.0);
+  for (std::int64_t img = 0; img < n; ++img) {
+    for (std::int64_t oc = 0; oc < o; ++oc) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          const double g = grad_out[((img * o + oc) * oh + oy) * ow + ox];
+          for (std::int64_t ic = 0; ic < c; ++ic) {
+            for (std::int64_t ky = 0; ky < kh; ++ky) {
+              for (std::int64_t kx = 0; kx < kw; ++kx) {
+                const std::int64_t iy = oy * args.stride + ky - args.padding;
+                const std::int64_t ix = ox * args.stride + kx - args.padding;
+                if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+                const std::int64_t in_flat = ((img * c + ic) * h + iy) * w + ix;
+                const std::int64_t w_flat = ((oc * c + ic) * kh + ky) * kw + kx;
+                dx[static_cast<std::size_t>(in_flat)] += g * weight[w_flat];
+                dw[static_cast<std::size_t>(w_flat)] += g * input[in_flat];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  *dinput = Tensor(input.shape());
+  *dweight = Tensor(weight.shape());
+  for (std::int64_t i = 0; i < input.numel(); ++i) {
+    (*dinput)[i] = static_cast<float>(dx[static_cast<std::size_t>(i)]);
+  }
+  for (std::int64_t i = 0; i < weight.numel(); ++i) {
+    (*dweight)[i] = static_cast<float>(dw[static_cast<std::size_t>(i)]);
+  }
+}
+
+TEST(Conv2d, BackwardMatchesReference) {
+  for (const ConvCase& p : kConvCases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "n=" << p.n << " c=" << p.c << " h=" << p.h << " o=" << p.o
+                 << " k=" << p.k << " stride=" << p.stride
+                 << " padding=" << p.padding);
+    Rng rng(22);
+    const Tensor input = Tensor::randn({p.n, p.c, p.h, p.h}, rng);
+    const Tensor weight = Tensor::randn({p.o, p.c, p.k, p.k}, rng);
+    Conv2dArgs args;
+    args.stride = p.stride;
+    args.padding = p.padding;
+    const Tensor grad = Tensor::randn(conv2d(input, weight, args).shape(), rng);
+    Tensor want_dx, want_dw;
+    naive_conv2d_backward(grad, input, weight, args, &want_dx, &want_dw);
+    const Tensor dx =
+        conv2d_backward_input(grad, weight, input.shape(), args);
+    const Tensor dw =
+        conv2d_backward_weight(grad, input, weight.shape(), args);
+    expect_close(dx, want_dx, 1e-4f * std::max(1.0f, max_abs(want_dx)));
+    expect_close(dw, want_dw, 1e-4f * std::max(1.0f, max_abs(want_dw)));
+  }
+}
 
 TEST(Conv2d, BackwardInputMatchesFiniteDifference) {
   Rng rng(23);
@@ -444,13 +517,14 @@ TEST(Im2col, ShapeAndContent) {
   Tensor input = Tensor::arange(9).reshape({1, 1, 3, 3});
   Conv2dArgs args;
   const Tensor cols = im2col(input, 2, 2, args);
-  ASSERT_EQ(cols.dim(0), 4);
-  ASSERT_EQ(cols.dim(1), 4);
-  // First patch: rows 0-1, cols 0-1 -> {0, 1, 3, 4}.
+  // Per-image layout [N, C*kh*kw, OH*OW]: one row per tap, one column per
+  // output pixel.
+  ASSERT_EQ(cols.shape(), Shape({1, 4, 4}));
+  // First patch (column 0): rows 0-1, cols 0-1 -> {0, 1, 3, 4}.
   EXPECT_EQ(cols[0], 0.0f);
-  EXPECT_EQ(cols[1], 1.0f);
-  EXPECT_EQ(cols[2], 3.0f);
-  EXPECT_EQ(cols[3], 4.0f);
+  EXPECT_EQ(cols[4], 1.0f);
+  EXPECT_EQ(cols[8], 3.0f);
+  EXPECT_EQ(cols[12], 4.0f);
 }
 
 // --- pooling ------------------------------------------------------------------------
@@ -463,6 +537,38 @@ TEST(MaxPool, ForwardAndIndices) {
   EXPECT_EQ(out[0], 5.0f);
   EXPECT_EQ(out[3], 15.0f);
   EXPECT_EQ(indices[3], 15);
+}
+
+TEST(MaxPool, NegativeInfinityAndNanWindows) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Two images of one 2x4 plane, so two 2x2 windows each. Image 1's first
+  // window is all -inf; its second holds a NaN in its last slot, after larger
+  // finite values.
+  Tensor input({2, 1, 2, 4});
+  for (std::int64_t i = 0; i < input.numel(); ++i) {
+    input[i] = static_cast<float>(i);
+  }
+  for (const std::int64_t i : {8, 9, 12, 13}) input[i] = -inf;
+  input[15] = nan;
+  std::vector<std::int64_t> indices;
+  const Tensor out = maxpool2d(input, 2, &indices);
+  ASSERT_EQ(out.shape(), Shape({2, 1, 1, 2}));
+  EXPECT_EQ(out[1], 7.0f);
+  EXPECT_EQ(out[2], -inf);
+  EXPECT_TRUE(std::isnan(out[3]));
+  EXPECT_EQ(indices[2], 8);   // the window's own first element
+  EXPECT_EQ(indices[3], 15);  // the NaN
+
+  Tensor g(out.shape());
+  g[2] = 2.0f;
+  g[3] = 3.0f;
+  const Tensor dinput = maxpool2d_backward(g, input.shape(), indices);
+  EXPECT_EQ(dinput[0], 0.0f);  // image 0 receives nothing
+  EXPECT_EQ(dinput[8], 2.0f);
+  EXPECT_EQ(dinput[10], 0.0f);
+  EXPECT_EQ(dinput[15], 3.0f);
+  EXPECT_EQ(sum(dinput), 5.0f);
 }
 
 TEST(MaxPool, BackwardRoutesToArgmax) {
