@@ -14,8 +14,6 @@
 // leave single-thread time intact still fail CI.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
-
 #include "nn/conv.hpp"
 #include "tensor/dtype.hpp"
 #include "tensor/fused.hpp"
@@ -23,7 +21,6 @@
 #include "tensor/quant.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace {
 
@@ -278,122 +275,15 @@ void BM_GeluBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_GeluBackward)->UseRealTime();
 
-// --- causal attention: fused streaming kernel vs dense head loop ------------
+// --- causal attention: fused streaming kernel --------------------------------
 //
 // GPT-style shape: B=4, H=8, C=256 (head_dim 32), T from the benchmark arg.
 // items_per_second is tokens/s (B*T per pass) — the unit the scaling gate
-// tracks across thread counts. The head-loop variants reproduce the dense
-// per-(b, h) composition (slice copies, [T, T] scores, softmax, [T, T]·V)
-// that the fused kernel replaces, as the perf oracle for the ≥2x target.
+// tracks across thread counts.
 
 constexpr std::int64_t kAttnBatch = 4;
 constexpr std::int64_t kAttnHeads = 8;
 constexpr std::int64_t kAttnEmbed = 256;
-
-Tensor attention_head_slice(const Tensor& qkv, std::int64_t b, std::int64_t h,
-                            std::int64_t which, std::int64_t time,
-                            std::int64_t embed, std::int64_t head_dim) {
-  Tensor out({time, head_dim});
-  const std::int64_t base_col = which * embed + h * head_dim;
-  for (std::int64_t t = 0; t < time; ++t) {
-    const float* src = qkv.data() + (b * time + t) * 3 * embed + base_col;
-    float* dst = out.data() + t * head_dim;
-    for (std::int64_t j = 0; j < head_dim; ++j) dst[j] = src[j];
-  }
-  return out;
-}
-
-// Dense head-loop forward; fills heads_out and (when non-null) the per-pair
-// attention matrices the dense backward consumes.
-void head_loop_forward(const Tensor& qkv, std::int64_t time,
-                       Tensor* heads_out, std::vector<Tensor>* att_cache) {
-  const std::int64_t hd = kAttnEmbed / kAttnHeads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  caraml::parallel_for_range(
-      0, static_cast<std::size_t>(kAttnBatch * kAttnHeads), 1,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const std::int64_t b = static_cast<std::int64_t>(idx) / kAttnHeads;
-          const std::int64_t h = static_cast<std::int64_t>(idx) % kAttnHeads;
-          const Tensor q =
-              attention_head_slice(qkv, b, h, 0, time, kAttnEmbed, hd);
-          const Tensor k =
-              attention_head_slice(qkv, b, h, 1, time, kAttnEmbed, hd);
-          const Tensor v =
-              attention_head_slice(qkv, b, h, 2, time, kAttnEmbed, hd);
-          Tensor scores = caraml::tensor::matmul_nt(q, k);
-          for (std::int64_t i = 0; i < time; ++i) {
-            for (std::int64_t j = 0; j < time; ++j) {
-              if (j > i) {
-                scores[i * time + j] = -1e30f;
-              } else {
-                scores[i * time + j] *= scale;
-              }
-            }
-          }
-          Tensor att = caraml::tensor::softmax_rows(scores);
-          Tensor y = caraml::tensor::matmul(att, v);
-          if (att_cache != nullptr) (*att_cache)[idx] = std::move(att);
-          for (std::int64_t t = 0; t < time; ++t) {
-            float* dst =
-                heads_out->data() + (b * time + t) * kAttnEmbed + h * hd;
-            const float* src = y.data() + t * hd;
-            for (std::int64_t j = 0; j < hd; ++j) dst[j] = src[j];
-          }
-        }
-      });
-}
-
-void head_loop_backward(const Tensor& qkv, const std::vector<Tensor>& att,
-                        const Tensor& d_heads, std::int64_t time,
-                        Tensor* d_qkv) {
-  const std::int64_t hd = kAttnEmbed / kAttnHeads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  caraml::parallel_for_range(
-      0, static_cast<std::size_t>(kAttnBatch * kAttnHeads), 1,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const std::int64_t b = static_cast<std::int64_t>(idx) / kAttnHeads;
-          const std::int64_t h = static_cast<std::int64_t>(idx) % kAttnHeads;
-          const Tensor q =
-              attention_head_slice(qkv, b, h, 0, time, kAttnEmbed, hd);
-          const Tensor k =
-              attention_head_slice(qkv, b, h, 1, time, kAttnEmbed, hd);
-          const Tensor v =
-              attention_head_slice(qkv, b, h, 2, time, kAttnEmbed, hd);
-          Tensor dy({time, hd});
-          for (std::int64_t t = 0; t < time; ++t) {
-            const float* src =
-                d_heads.data() + (b * time + t) * kAttnEmbed + h * hd;
-            float* dst = dy.data() + t * hd;
-            for (std::int64_t j = 0; j < hd; ++j) dst[j] = src[j];
-          }
-          Tensor datt = caraml::tensor::matmul_nt(dy, v);
-          Tensor dv = caraml::tensor::matmul_tn(att[idx], dy);
-          Tensor dscores =
-              caraml::tensor::softmax_rows_backward(att[idx], datt);
-          for (std::int64_t i = 0; i < time; ++i) {
-            for (std::int64_t j = 0; j < time; ++j) {
-              if (j > i) {
-                dscores[i * time + j] = 0.0f;
-              } else {
-                dscores[i * time + j] *= scale;
-              }
-            }
-          }
-          Tensor dq = caraml::tensor::matmul(dscores, k);
-          Tensor dk = caraml::tensor::matmul_tn(dscores, q);
-          for (std::int64_t t = 0; t < time; ++t) {
-            float* dst = d_qkv->data() + (b * time + t) * 3 * kAttnEmbed;
-            for (std::int64_t j = 0; j < hd; ++j) {
-              dst[h * hd + j] += dq[t * hd + j];
-              dst[kAttnEmbed + h * hd + j] += dk[t * hd + j];
-              dst[2 * kAttnEmbed + h * hd + j] += dv[t * hd + j];
-            }
-          }
-        }
-      });
-}
 
 void BM_AttentionForward(benchmark::State& state) {
   const std::int64_t time = state.range(0);
@@ -433,39 +323,6 @@ void BM_AttentionBackward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kAttnBatch * time);
 }
 BENCHMARK(BM_AttentionBackward)->Arg(256)->UseRealTime();
-
-void BM_AttentionHeadLoopForward(benchmark::State& state) {
-  const std::int64_t time = state.range(0);
-  Rng rng(1);
-  const Tensor qkv = Tensor::randn({kAttnBatch * time, 3 * kAttnEmbed}, rng);
-  Tensor heads_out({kAttnBatch * time, kAttnEmbed});
-  for (auto _ : state) {
-    head_loop_forward(qkv, time, &heads_out, nullptr);
-    benchmark::DoNotOptimize(heads_out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kAttnBatch * time);
-}
-BENCHMARK(BM_AttentionHeadLoopForward)->Arg(256)->UseRealTime();
-
-void BM_AttentionHeadLoopBackward(benchmark::State& state) {
-  const std::int64_t time = state.range(0);
-  Rng rng(1);
-  const Tensor qkv = Tensor::randn({kAttnBatch * time, 3 * kAttnEmbed}, rng);
-  const Tensor d_heads =
-      Tensor::randn({kAttnBatch * time, kAttnEmbed}, rng);
-  Tensor heads_out({kAttnBatch * time, kAttnEmbed});
-  std::vector<Tensor> att(
-      static_cast<std::size_t>(kAttnBatch * kAttnHeads));
-  head_loop_forward(qkv, time, &heads_out, &att);
-  Tensor d_qkv({kAttnBatch * time, 3 * kAttnEmbed});
-  for (auto _ : state) {
-    d_qkv.fill(0.0f);
-    head_loop_backward(qkv, att, d_heads, time, &d_qkv);
-    benchmark::DoNotOptimize(d_qkv.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kAttnBatch * time);
-}
-BENCHMARK(BM_AttentionHeadLoopBackward)->Arg(256)->UseRealTime();
 
 }  // namespace
 

@@ -29,9 +29,11 @@ Stdlib-only perf-regression harness for the tensor microbenchmarks:
         BENCH_tensor_dtype.json fresh.json --max-drop 0.20
 
 Comparison uses real_time (the kernels run on a thread pool; CPU time of the
-benchmark thread measures dispatch, not compute). Benchmarks present in only
-one of the two files are reported but never fail the check, so adding or
-retiring benchmarks does not require a lockstep baseline update. All
+benchmark thread measures dispatch, not compute). `compare` fails when a
+baseline benchmark is missing from the results, so deleting or renaming a
+benchmark cannot switch its own gate off: retiring one means dropping its key
+from the baseline. New benchmarks are only reported, and `scaling` gates only
+the benchmarks present in all four files. All
 subcommands accept either raw google-benchmark JSON or a baseline previously
 written by `record`.
 """
@@ -94,6 +96,7 @@ def cmd_compare(args):
     current = load_benchmarks(args.results)
 
     failures = []
+    missing = []
     width = max(len(name) for name in sorted(set(base) | set(current)))
     print(f"{'benchmark':<{width}}  {'baseline':>12}  {'current':>12}  delta")
     for name in sorted(set(base) | set(current)):
@@ -101,7 +104,10 @@ def cmd_compare(args):
             print(f"{name:<{width}}  {'-':>12}  {current[name]:>10.0f}ns  (new)")
             continue
         if name not in current:
-            print(f"{name:<{width}}  {base[name]:>10.0f}ns  {'-':>12}  (missing)")
+            # A deleted or renamed benchmark would otherwise switch its own
+            # gate off silently.
+            print(f"{name:<{width}}  {base[name]:>10.0f}ns  {'-':>12}  MISSING")
+            missing.append(name)
             continue
         ratio = current[name] / base[name]
         delta = ratio - 1.0
@@ -114,6 +120,13 @@ def cmd_compare(args):
             f"  {delta:+7.1%}{marker}"
         )
 
+    if missing:
+        print(
+            f"\nFAIL: {len(missing)} baseline benchmark(s) missing from "
+            f"{args.results}:"
+        )
+        for name in missing:
+            print(f"  {name}")
     if failures:
         print(
             f"\nFAIL: {len(failures)} benchmark(s) regressed more than "
@@ -121,6 +134,7 @@ def cmd_compare(args):
         )
         for name, delta in failures:
             print(f"  {name}: {delta:+.1%}")
+    if missing or failures:
         return 1
     print(f"\nOK: no benchmark regressed more than {args.max_regression:.0%}")
     return 0

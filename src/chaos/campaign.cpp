@@ -21,6 +21,7 @@
 #include "telemetry/manifest.hpp"
 #include "telemetry/span.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
 #include "util/threadpool.hpp"
@@ -35,18 +36,6 @@ constexpr const char* kRuleConvergence = "chaos/invariant-convergence";
 constexpr const char* kRuleCheckpoint = "chaos/invariant-checkpoint";
 constexpr const char* kRuleManifest = "chaos/invariant-manifest";
 constexpr const char* kRuleDeadline = "chaos/invariant-deadline";
-
-std::string fnv1a_hex(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buffer;
-}
 
 std::string fmt(const char* pattern, double a, double b = 0.0,
                 double c = 0.0) {
@@ -811,7 +800,7 @@ std::string CampaignConfig::fingerprint() const {
   for (const int d : space.devices) out << d << ",";
   out << ";sev=";
   for (const double s : space.severities) out << json::format_number(s) << ",";
-  return fnv1a_hex(out.str());
+  return hash::fnv1a_hex(out.str());
 }
 
 // --- report -----------------------------------------------------------------------

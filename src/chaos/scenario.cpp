@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace caraml::chaos {
@@ -12,16 +13,6 @@ namespace {
 
 bool is_window_kind(fault::FaultKind kind) {
   return kind != fault::FaultKind::kDeviceFailure;
-}
-
-/// splitmix64 over (seed, index), matching the sweep engine's per-
-/// workpackage seed derivation: scenario plans are order-free and identical
-/// across job counts.
-std::uint64_t derive_scenario_seed(std::uint64_t seed, std::uint64_t index) {
-  std::uint64_t z = seed ^ (0x9E3779B97F4A7C15ULL * (index + 1));
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
 }
 
 Scenario make_scenario(const FaultSpace& space, std::uint64_t seed,
@@ -41,7 +32,7 @@ Scenario make_scenario(const FaultSpace& space, std::uint64_t seed,
   event.duration_s = is_window_kind(kind) ? space.window_frac * horizon_s : 0.0;
   event.device = device;
   event.severity = scenario.severity;
-  scenario.plan = fault::FaultPlan::single(derive_scenario_seed(seed, index),
+  scenario.plan = fault::FaultPlan::single(hash::derive_seed(seed, index),
                                            horizon_s, event);
 
   char buffer[96];

@@ -299,6 +299,12 @@ std::string llm_doom_reason(const jube::Context& context) {
            "' is not bf16 or fp32 (int8 is inference-only)";
   }
 
+  // The llm_train action simulates a single node.
+  if (devices > node.devices_per_node) {
+    return "invalid layout: " + std::to_string(devices) +
+           " devices exceed the " + std::to_string(node.devices_per_node) +
+           "-device node llm_train simulates";
+  }
   const int num_devices =
       devices > 0 ? static_cast<int>(devices) : node.devices_per_node;
   if (tp <= 0 || pp <= 0 || num_devices % (tp * pp) != 0) {
@@ -347,7 +353,20 @@ std::string resnet_doom_reason(const jube::Context& context) {
     return "invalid layout: global batch " + std::to_string(batch) +
            " not divisible by " + std::to_string(devices) + " device(s)";
   }
-  // Mirrors core/resnet.cpp run_resnet_gpu's memory accounting.
+  // Mirrors core/resnet.cpp run_resnet_gpu's node checks and memory
+  // accounting.
+  const std::int64_t nodes =
+      (devices + node.devices_per_node - 1) / node.devices_per_node;
+  if (nodes > 1 && devices % node.devices_per_node != 0) {
+    return "invalid layout: " + std::to_string(devices) +
+           " devices span partial nodes; multi-node runs must use full "
+           "nodes of " + std::to_string(node.devices_per_node);
+  }
+  if (nodes > node.max_nodes) {
+    return "invalid layout: " + std::to_string(devices) + " devices need " +
+           std::to_string(nodes) + " nodes but " + node.display_name +
+           " has only " + std::to_string(node.max_nodes) + " node(s)";
+  }
   const models::ResNetModel model = models::ResNetModel::build(variant);
   const double need = model.activation_bytes_per_image() *
                           static_cast<double>(batch / devices) +

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace caraml::data {
 
@@ -17,8 +18,8 @@ ShuffledIndexSampler::ShuffledIndexSampler(std::int64_t size,
 
 void ShuffledIndexSampler::reshuffle() {
   std::iota(order_.begin(), order_.end(), 0);
-  Rng rng(base_seed_ ^ (0x9E3779B97F4A7C15ULL *
-                        static_cast<std::uint64_t>(epoch_ + 1)));
+  Rng rng(base_seed_ ^
+          (hash::kGoldenGamma * static_cast<std::uint64_t>(epoch_ + 1)));
   std::shuffle(order_.begin(), order_.end(), rng);
   position_ = 0;
 }
@@ -58,8 +59,8 @@ std::vector<std::int64_t> ShardedEpochPlan::shard(int rank,
   CARAML_CHECK_MSG(epoch >= 0, "epoch must be non-negative");
   std::vector<std::int64_t> order(static_cast<std::size_t>(size_));
   std::iota(order.begin(), order.end(), 0);
-  Rng rng(seed_ ^ (0x9E3779B97F4A7C15ULL *
-                   static_cast<std::uint64_t>(epoch + 1)));
+  Rng rng(seed_ ^
+          (hash::kGoldenGamma * static_cast<std::uint64_t>(epoch + 1)));
   std::shuffle(order.begin(), order.end(), rng);
   std::vector<std::int64_t> mine;
   for (std::size_t i = static_cast<std::size_t>(rank); i < order.size();

@@ -1,6 +1,5 @@
 #include "fault/checkpoint.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -8,6 +7,7 @@
 
 #include "telemetry/json.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace caraml::fault {
@@ -15,25 +15,6 @@ namespace caraml::fault {
 namespace json = telemetry::json;
 
 namespace {
-
-std::string fnv1a_hex(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buffer;
-}
-
-std::string hex16(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
 
 /// The fingerprinted payload: every field except the fingerprint itself, in
 /// a fixed member order so the serialization (and thus the hash) is stable.
@@ -45,7 +26,7 @@ std::string payload_json(const TrainingCheckpoint& checkpoint) {
   root.set("step", checkpoint.step);
   root.set("samples_consumed", checkpoint.samples_consumed);
   root.set("optimizer_clock_s", checkpoint.optimizer_clock_s);
-  root.set("sampler_state", hex16(checkpoint.sampler_state));
+  root.set("sampler_state", hash::hex16(checkpoint.sampler_state));
   return json::dump(root);
 }
 
@@ -54,7 +35,7 @@ std::string payload_json(const TrainingCheckpoint& checkpoint) {
 std::string TrainingCheckpoint::to_json() const {
   const std::string payload = payload_json(*this);
   json::Value root = json::parse(payload);
-  root.set("fingerprint", fnv1a_hex(payload));
+  root.set("fingerprint", hash::fnv1a_hex(payload));
   return json::dump(root);
 }
 
@@ -82,7 +63,7 @@ TrainingCheckpoint TrainingCheckpoint::from_json(const std::string& text) {
     const std::string& state_hex = root.at("sampler_state").as_string();
     checkpoint.sampler_state = std::strtoull(state_hex.c_str(), nullptr, 16);
     const std::string stamped = root.at("fingerprint").as_string();
-    const std::string expected = fnv1a_hex(payload_json(checkpoint));
+    const std::string expected = hash::fnv1a_hex(payload_json(checkpoint));
     if (stamped != expected) {
       throw ParseError("checkpoint fingerprint mismatch: stamped " + stamped +
                        ", payload hashes to " + expected +

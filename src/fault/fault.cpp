@@ -9,6 +9,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace caraml::fault {
@@ -255,14 +256,7 @@ std::string FaultPlan::fingerprint() const {
                   event.duration_s, event.device, event.severity);
     serialized += buffer;
   }
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (unsigned char c : serialized) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buffer;
+  return hash::fnv1a_hex(serialized);
 }
 
 std::string FaultPlan::summary() const {
@@ -309,11 +303,8 @@ double RetryPolicy::delay_s(int attempt) const {
   if (jitter_frac <= 0.0) return base;
   // splitmix64 over (seed, attempt): jitter is deterministic per attempt, so
   // two runs of the same plan back off identically.
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL *
-                               static_cast<std::uint64_t>(attempt);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  z ^= z >> 31;
+  const std::uint64_t z = hash::mix64(
+      seed + hash::kGoldenGamma * static_cast<std::uint64_t>(attempt));
   const double unit =
       static_cast<double>(z >> 11) * (1.0 / 9007199254740992.0);  // [0, 1)
   return base * (1.0 + jitter_frac * (2.0 * unit - 1.0));

@@ -13,6 +13,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/strings.hpp"
 #include "util/threadpool.hpp"
 
@@ -283,17 +284,6 @@ std::string run_action_bounded(const Action& action, const Context& context,
   return future.get();
 }
 
-/// splitmix64 over (seed, index): each workpackage gets an independent,
-/// order-free retry jitter stream, so sequential and parallel sweeps back
-/// off byte-identically.
-std::uint64_t derive_workpackage_seed(std::uint64_t seed,
-                                      std::uint64_t index) {
-  std::uint64_t z = seed ^ (0x9E3779B97F4A7C15ULL * (index + 1));
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 Workpackage Benchmark::run_workpackage(const ActionRegistry& registry,
@@ -324,7 +314,9 @@ Workpackage Benchmark::run_workpackage(const ActionRegistry& registry,
   }
 
   RunOptions local = *options;
-  local.retry.seed = derive_workpackage_seed(options->retry.seed, index);
+  // Each workpackage gets an independent, order-free retry jitter stream, so
+  // sequential and parallel sweeps back off byte-identically.
+  local.retry.seed = hash::derive_seed(options->retry.seed, index);
 
   std::set<std::string> broken;  // failed or skipped steps
   for (const auto& step_name : order) {

@@ -1,28 +1,25 @@
 #include "jube/sweep.hpp"
 
-#include <cstdio>
 #include <filesystem>
 
 #include "telemetry/json.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace caraml::jube {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+/// FNV-1a start state of the cache key. It is the standard offset basis
+/// with its last decimal digit dropped; every existing sweep cache is keyed
+/// by it, so it stays.
+constexpr std::uint64_t kCacheKeyBasis = 1469598103934665603ULL;
 
 /// Hash one field followed by a unit separator, so adjacent fields cannot
 /// alias ("ab" + "c" vs "a" + "bc").
-void feed(std::uint64_t& hash, const std::string& field) {
-  for (const unsigned char c : field) {
-    hash ^= c;
-    hash *= kFnvPrime;
-  }
-  hash ^= 0x1F;
-  hash *= kFnvPrime;
+void feed(std::uint64_t& state, const std::string& field) {
+  state = hash::fnv1a("\x1f", hash::fnv1a(field, state));
 }
 
 constexpr int kCacheSchemaVersion = 1;
@@ -76,21 +73,18 @@ std::string workpackage_fingerprint(
     const std::string& benchmark, const Context& context,
     const std::vector<std::pair<std::string, std::string>>& steps,
     const std::string& extra) {
-  std::uint64_t hash = kFnvOffset;
-  feed(hash, benchmark);
+  std::uint64_t state = kCacheKeyBasis;
+  feed(state, benchmark);
   for (const auto& [name, value] : context) {
-    feed(hash, name);
-    feed(hash, value);
+    feed(state, name);
+    feed(state, value);
   }
   for (const auto& [step, action] : steps) {
-    feed(hash, step);
-    feed(hash, action);
+    feed(state, step);
+    feed(state, action);
   }
-  feed(hash, extra);
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buffer;
+  feed(state, extra);
+  return hash::hex16(state);
 }
 
 void SweepCache::open(const std::string& path) {

@@ -2,15 +2,11 @@
 // paper highlights (quadratic in sequence length, matrix products of token
 // representations).
 //
-// Two interchangeable engines compute the attention itself:
-//
-//   kFused (default) — flash-attention-style streaming kernel
-//     (tensor/fused.hpp): tiled QK^T → mask → online softmax → ·V in one
-//     pass, no [T, T] materialization; backward recomputes attention tiles
-//     from the cached QKV + per-row log-sum-exp, so the module's cache is
-//     O(B·T·C + B·H·T) instead of the head-loop's O(B·H·T²).
-//   kHeadLoop — the original per-(b, h) composition of matmul / softmax
-//     kernels, kept as the equivalence oracle for tests and benchmarks.
+// The attention itself runs in the flash-attention-style streaming kernel
+// (tensor/fused.hpp): tiled QK^T → mask → softmax → ·V in one pass, no
+// [T, T] materialization. Backward recomputes attention tiles from the
+// cached QKV + per-row log-sum-exp, so the module's cache is
+// O(B·T·C + B·H·T). Tests check it against an fp64 reference.
 #pragma once
 
 #include <memory>
@@ -22,8 +18,6 @@ namespace caraml::nn {
 
 class CausalSelfAttention : public Module {
  public:
-  enum class Engine { kFused, kHeadLoop };
-
   CausalSelfAttention(std::int64_t embed_dim, std::int64_t num_heads,
                       Rng& rng);
 
@@ -34,12 +28,6 @@ class CausalSelfAttention : public Module {
 
   std::int64_t num_heads() const { return num_heads_; }
 
-  /// Select the attention engine (affects subsequent forward/backward calls;
-  /// a backward must use the same engine as the forward that produced its
-  /// caches).
-  void set_engine(Engine engine) { engine_ = engine; }
-  Engine engine() const { return engine_; }
-
   /// Run the QKV and output projections in the given precision (kF32 or
   /// kBf16; the attention core itself — QK^T, softmax, ·V — stays fp32).
   /// kI8 is rejected: the projections sit on the training path.
@@ -49,7 +37,6 @@ class CausalSelfAttention : public Module {
   std::int64_t embed_dim_;
   std::int64_t num_heads_;
   std::int64_t head_dim_;
-  Engine engine_ = Engine::kFused;
   std::shared_ptr<Linear> qkv_;
   std::shared_ptr<Linear> proj_;
 
@@ -57,9 +44,8 @@ class CausalSelfAttention : public Module {
   std::int64_t batch_ = 0;
   std::int64_t time_ = 0;
   Tensor cached_qkv_;        // [B*T, 3C]
-  Tensor cached_heads_out_;  // [B*T, C]   (fused engine)
-  Tensor cached_lse_;        // [B*H, T]   (fused engine)
-  std::vector<Tensor> cached_att_;  // per (b, h): [T, T] (head-loop engine)
+  Tensor cached_heads_out_;  // [B*T, C]
+  Tensor cached_lse_;        // [B*H, T]
 };
 
 }  // namespace caraml::nn

@@ -101,38 +101,35 @@ Tensor Linear::forward(const Tensor& input) {
   CARAML_CHECK_MSG(input.dim(1) == weight_.value.dim(1),
                    "Linear input feature mismatch");
   const Tensor* bias = has_bias_ ? &bias_.value : nullptr;
+  tensor::fused::LinearEpilogue epilogue;
+  if (epilogue_ == Epilogue::kGelu) {
+    epilogue.gelu = true;
+    epilogue.pre = &cached_pre_;
+  } else if (epilogue_ == Epilogue::kDropout) {
+    // Fresh inverted-dropout mask per forward: kept slots carry 1/(1-p) so
+    // the activation's expectation is unchanged.
+    const std::int64_t n = input.dim(0), out_dim = weight_.value.dim(0);
+    cached_mask_ = Tensor({n, out_dim});
+    const float inv_keep = 1.0f / (1.0f - dropout_p_);
+    float* __restrict pm = cached_mask_.data();
+    const std::int64_t count = n * out_dim;
+    for (std::int64_t i = 0; i < count; ++i) {
+      pm[i] = dropout_rng_.next_double() < dropout_p_ ? 0.0f : inv_keep;
+    }
+    epilogue.dropout_mask = &cached_mask_;
+  }
+
+  // The dtype only chooses how the operands are encoded.
   if (compute_dtype_ == tensor::DType::kBf16) {
     // Re-round the fp32 master weights every forward (the optimizer moves
     // them between steps); backward reuses the same rounded copies for
     // dW and dX so forward and backward see one consistent bf16 snapshot.
     weight_bf16_ = tensor::Bf16Tensor::from_float(weight_.value);
     cached_input_bf16_ = tensor::Bf16Tensor::from_float(input);
-    switch (epilogue_) {
-      case Epilogue::kGelu:
-        return tensor::fused::linear_gelu_bf16(cached_input_bf16_,
-                                               weight_bf16_, bias,
-                                               &cached_pre_);
-      case Epilogue::kDropout: {
-        const std::int64_t n = input.dim(0), out_dim = weight_.value.dim(0);
-        cached_mask_ = Tensor({n, out_dim});
-        const float inv_keep = 1.0f / (1.0f - dropout_p_);
-        float* __restrict pm = cached_mask_.data();
-        const std::int64_t count = n * out_dim;
-        for (std::int64_t i = 0; i < count; ++i) {
-          pm[i] = dropout_rng_.next_double() < dropout_p_ ? 0.0f : inv_keep;
-        }
-        return tensor::fused::linear_dropout_bf16(cached_input_bf16_,
-                                                  weight_bf16_, bias,
-                                                  cached_mask_);
-      }
-      case Epilogue::kNone:
-        break;
-    }
-    return tensor::fused::linear_bf16(cached_input_bf16_, weight_bf16_, bias);
+    return tensor::fused::linear(cached_input_bf16_, weight_bf16_, bias,
+                                 epilogue);
   }
   if (compute_dtype_ == tensor::DType::kI8) {
-    CARAML_CHECK_MSG(epilogue_ != Epilogue::kDropout,
-                     "int8 Linear is inference-only; dropout unsupported");
     if (!weight_i8_valid_) {
       weight_i8_ = tensor::quantize_per_channel_rows(weight_.value);
       weight_i8_valid_ = true;
@@ -141,36 +138,11 @@ Tensor Linear::forward(const Tensor& input) {
         calibrated_absmax_ > 0.0f
             ? calibrated_absmax_ / 127.0f
             : tensor::absmax_scale(input.data(), input.numel());
-    const tensor::QuantizedTensor qx =
-        tensor::quantize_with_scale(input, scale);
-    if (epilogue_ == Epilogue::kGelu) {
-      return tensor::fused::linear_gelu_i8(qx, weight_i8_, bias, &cached_pre_);
-    }
-    return tensor::fused::linear_i8(qx, weight_i8_, bias);
+    return tensor::fused::linear(tensor::quantize_with_scale(input, scale),
+                                 weight_i8_, bias, epilogue);
   }
   cached_input_ = input;
-  switch (epilogue_) {
-    case Epilogue::kGelu:
-      return tensor::fused::linear_gelu(input, weight_.value, bias,
-                                        &cached_pre_);
-    case Epilogue::kDropout: {
-      // Fresh inverted-dropout mask per forward: kept slots carry 1/(1-p) so
-      // the activation's expectation is unchanged.
-      const std::int64_t n = input.dim(0), out_dim = weight_.value.dim(0);
-      cached_mask_ = Tensor({n, out_dim});
-      const float inv_keep = 1.0f / (1.0f - dropout_p_);
-      float* __restrict pm = cached_mask_.data();
-      const std::int64_t count = n * out_dim;
-      for (std::int64_t i = 0; i < count; ++i) {
-        pm[i] = dropout_rng_.next_double() < dropout_p_ ? 0.0f : inv_keep;
-      }
-      return tensor::fused::linear_dropout(input, weight_.value, bias,
-                                           cached_mask_);
-    }
-    case Epilogue::kNone:
-      break;
-  }
-  return tensor::fused::linear(input, weight_.value, bias);
+  return tensor::fused::linear(input, weight_.value, bias, epilogue);
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {

@@ -1,9 +1,7 @@
 #include "par/tensor_parallel.hpp"
 
-#include <cmath>
-
+#include "tensor/fused.hpp"
 #include "util/error.hpp"
-#include "util/threadpool.hpp"
 
 namespace caraml::par {
 
@@ -88,37 +86,6 @@ std::vector<nn::Parameter*> TensorParallelMlp::parameters() {
 // TensorParallelAttention
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Extract the q/k/v slice of one local head from packed [B*T, 3*localC].
-Tensor local_head_slice(const Tensor& qkv, std::int64_t b, std::int64_t h,
-                        std::int64_t which, std::int64_t time,
-                        std::int64_t local_c, std::int64_t head_dim) {
-  Tensor out({time, head_dim});
-  const std::int64_t base_col = which * local_c + h * head_dim;
-  const std::int64_t row_stride = 3 * local_c;
-  for (std::int64_t t = 0; t < time; ++t) {
-    const float* src = qkv.data() + (b * time + t) * row_stride + base_col;
-    float* dst = out.data() + t * head_dim;
-    for (std::int64_t j = 0; j < head_dim; ++j) dst[j] = src[j];
-  }
-  return out;
-}
-
-void local_head_scatter(Tensor& d_qkv, const Tensor& grad, std::int64_t b,
-                        std::int64_t h, std::int64_t which, std::int64_t time,
-                        std::int64_t local_c, std::int64_t head_dim) {
-  const std::int64_t base_col = which * local_c + h * head_dim;
-  const std::int64_t row_stride = 3 * local_c;
-  for (std::int64_t t = 0; t < time; ++t) {
-    float* dst = d_qkv.data() + (b * time + t) * row_stride + base_col;
-    const float* src = grad.data() + t * head_dim;
-    for (std::int64_t j = 0; j < head_dim; ++j) dst[j] += src[j];
-  }
-}
-
-}  // namespace
-
 TensorParallelAttention::TensorParallelAttention(std::int64_t embed_dim,
                                                  std::int64_t num_heads,
                                                  Communicator& comm, Rng& rng)
@@ -146,48 +113,17 @@ Tensor TensorParallelAttention::forward(const Tensor& input) {
   const Tensor flat = input.reshape({batch_ * time_, embed_dim_});
   cached_qkv_ = qkv_->forward(flat);  // [B*T, 3*localC]
 
-  // Pre-sized for indexed assignment — the head loop is parallel and
-  // push_back would race.
-  cached_att_.assign(static_cast<std::size_t>(batch_ * local_heads_),
-                     Tensor());
-  Tensor heads_out({batch_ * time_, local_c});
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-
-  caraml::parallel_for_range(
-      0, static_cast<std::size_t>(batch_ * local_heads_), 1,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const std::int64_t b =
-              static_cast<std::int64_t>(idx) / local_heads_;
-          const std::int64_t h =
-              static_cast<std::int64_t>(idx) % local_heads_;
-          const Tensor q =
-              local_head_slice(cached_qkv_, b, h, 0, time_, local_c, head_dim_);
-          const Tensor k =
-              local_head_slice(cached_qkv_, b, h, 1, time_, local_c, head_dim_);
-          const Tensor v =
-              local_head_slice(cached_qkv_, b, h, 2, time_, local_c, head_dim_);
-          Tensor scores = tensor::matmul_nt(q, k);
-          for (std::int64_t i = 0; i < time_; ++i) {
-            for (std::int64_t j = 0; j < time_; ++j) {
-              if (j > i) scores[i * time_ + j] = -1e30f;
-              else scores[i * time_ + j] *= scale;
-            }
-          }
-          Tensor att = tensor::softmax_rows(scores);
-          Tensor y = tensor::matmul(att, v);
-          cached_att_[idx] = std::move(att);
-          for (std::int64_t t = 0; t < time_; ++t) {
-            float* dst =
-                heads_out.data() + (b * time_ + t) * local_c + h * head_dim_;
-            const float* src = y.data() + t * head_dim_;
-            for (std::int64_t j = 0; j < head_dim_; ++j) dst[j] = src[j];
-          }
-        }
-      });
+  // This rank's heads are an ordinary packed QKV projection with
+  // local_heads heads, so the fused kernel runs on it unchanged.
+  cached_heads_out_ = Tensor({batch_ * time_, local_c});
+  cached_lse_ = Tensor({batch_ * local_heads_, time_});
+  tensor::fused::causal_attention_forward(cached_qkv_.data(), batch_, time_,
+                                          local_c, local_heads_,
+                                          cached_heads_out_.data(),
+                                          cached_lse_.data());
 
   // Row-parallel output projection: partial sums all-reduced across ranks.
-  Tensor out = proj_->forward(heads_out);
+  Tensor out = proj_->forward(cached_heads_out_);
   comm_.all_reduce_sum(out);
   return out.reshape({batch_, time_, embed_dim_});
 }
@@ -198,46 +134,9 @@ Tensor TensorParallelAttention::backward(const Tensor& grad_output) {
   const Tensor d_heads = proj_->backward(g_flat);  // [B*T, localC]
 
   Tensor d_qkv({batch_ * time_, 3 * local_c});
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  // Parallel over (b, h): disjoint (row, column) blocks of d_qkv per pair.
-  caraml::parallel_for_range(
-      0, static_cast<std::size_t>(batch_ * local_heads_), 1,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const std::int64_t b =
-              static_cast<std::int64_t>(idx) / local_heads_;
-          const std::int64_t h =
-              static_cast<std::int64_t>(idx) % local_heads_;
-          const Tensor q =
-              local_head_slice(cached_qkv_, b, h, 0, time_, local_c, head_dim_);
-          const Tensor k =
-              local_head_slice(cached_qkv_, b, h, 1, time_, local_c, head_dim_);
-          const Tensor v =
-              local_head_slice(cached_qkv_, b, h, 2, time_, local_c, head_dim_);
-          const Tensor& att = cached_att_[idx];
-          Tensor dy({time_, head_dim_});
-          for (std::int64_t t = 0; t < time_; ++t) {
-            const float* src =
-                d_heads.data() + (b * time_ + t) * local_c + h * head_dim_;
-            float* dst = dy.data() + t * head_dim_;
-            for (std::int64_t j = 0; j < head_dim_; ++j) dst[j] = src[j];
-          }
-          Tensor datt = tensor::matmul_nt(dy, v);
-          Tensor dv = tensor::matmul_tn(att, dy);
-          Tensor dscores = tensor::softmax_rows_backward(att, datt);
-          for (std::int64_t i = 0; i < time_; ++i) {
-            for (std::int64_t j = 0; j < time_; ++j) {
-              if (j > i) dscores[i * time_ + j] = 0.0f;
-              else dscores[i * time_ + j] *= scale;
-            }
-          }
-          Tensor dq = tensor::matmul(dscores, k);
-          Tensor dk = tensor::matmul_tn(dscores, q);
-          local_head_scatter(d_qkv, dq, b, h, 0, time_, local_c, head_dim_);
-          local_head_scatter(d_qkv, dk, b, h, 1, time_, local_c, head_dim_);
-          local_head_scatter(d_qkv, dv, b, h, 2, time_, local_c, head_dim_);
-        }
-      });
+  tensor::fused::causal_attention_backward(
+      cached_qkv_.data(), cached_heads_out_.data(), d_heads.data(),
+      cached_lse_.data(), batch_, time_, local_c, local_heads_, d_qkv.data());
 
   Tensor d_input = qkv_->backward(d_qkv);
   // Column-parallel input gradient: sum of all shards' contributions.

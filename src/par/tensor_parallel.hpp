@@ -98,8 +98,9 @@ class TensorParallelAttention : public nn::Module {
   std::shared_ptr<nn::Linear> proj_;  // [C, local_heads * hd], bias on rank 0
 
   std::int64_t batch_ = 0, time_ = 0;
-  nn::Tensor cached_qkv_;
-  std::vector<nn::Tensor> cached_att_;
+  nn::Tensor cached_qkv_;        // [B*T, 3*localC]
+  nn::Tensor cached_heads_out_;  // [B*T, localC]
+  nn::Tensor cached_lse_;        // [B*localH, T]
 };
 
 /// A full Megatron-parallel pre-norm transformer block:

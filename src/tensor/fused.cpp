@@ -76,10 +76,10 @@ void attention_head_forward(const float* q_base, const float* k_base,
       const std::int64_t qi = i0 + r;
       float* __restrict s_row = s + r * jext;
       // Masked slots (j > i) are set to exact zero probability without ever
-      // being exponentiated — this also erases any NaN they carried, matching
-      // the head-loop path's mask overwrite. A NaN at an unmasked slot is
-      // skipped by std::max (comparisons with NaN are false) but survives
-      // exp() and poisons the whole row through the normalizer, as before.
+      // being exponentiated — this also erases any NaN they carried. A NaN
+      // at an unmasked slot is skipped by std::max (comparisons with NaN are
+      // false) but survives exp() and poisons the whole row through the
+      // normalizer.
       float row_max = -std::numeric_limits<float>::infinity();
       for (std::int64_t cdx = 0; cdx <= qi; ++cdx) {
         s_row[cdx] *= scale;
@@ -294,149 +294,85 @@ void causal_attention_backward(const float* qkv, const float* heads_out,
 
 namespace {
 
-Tensor linear_epilogue(const Tensor& x, const Tensor& w, const Tensor* bias,
-                       detail::GemmEpilogue epilogue, const char* what) {
-  CARAML_CHECK_MSG(x.rank() == 2 && w.rank() == 2 && x.dim(1) == w.dim(1),
-                   std::string(what) + ": shape mismatch " +
-                       shape_to_string(x.shape()) + " vs " +
-                       shape_to_string(w.shape()));
-  const std::int64_t rows = x.dim(0);
-  const std::int64_t in = x.dim(1);
-  const std::int64_t out_dim = w.dim(0);
+// The validation all three storage types share: operand shapes, bias and
+// epilogue buffers. Returns the GEMM epilogue for an [rows, out_dim] output.
+detail::GemmEpilogue gemm_epilogue(std::int64_t rows, std::int64_t x_in,
+                                   std::int64_t out_dim, std::int64_t w_in,
+                                   const Tensor* bias,
+                                   const LinearEpilogue& epilogue) {
+  CARAML_CHECK_MSG(x_in == w_in, "fused::linear: inner dimension mismatch " +
+                                     std::to_string(x_in) + " vs " +
+                                     std::to_string(w_in));
+  detail::GemmEpilogue out;
   if (bias != nullptr) {
     CARAML_CHECK_MSG(bias->numel() == out_dim,
-                     std::string(what) + ": bias size mismatch");
-    epilogue.bias = bias->data();
+                     "fused::linear: bias size mismatch");
+    out.bias = bias->data();
   }
-  Tensor out({rows, out_dim});
-  detail::gemm(false, true, rows, out_dim, in, x.data(), in, w.data(), in,
-               out.data(), out_dim, epilogue);
-  return out;
-}
-
-Tensor linear_epilogue_bf16(const Bf16Tensor& x, const Bf16Tensor& w,
-                            const Tensor* bias, detail::GemmEpilogue epilogue,
-                            const char* what) {
-  CARAML_CHECK_MSG(x.rank() == 2 && w.rank() == 2 && x.dim(1) == w.dim(1),
-                   std::string(what) + ": shape mismatch " +
-                       shape_to_string(x.shape()) + " vs " +
-                       shape_to_string(w.shape()));
-  const std::int64_t rows = x.dim(0);
-  const std::int64_t in = x.dim(1);
-  const std::int64_t out_dim = w.dim(0);
-  if (bias != nullptr) {
-    CARAML_CHECK_MSG(bias->numel() == out_dim,
-                     std::string(what) + ": bias size mismatch");
-    epilogue.bias = bias->data();
+  out.gelu = epilogue.gelu;
+  if (epilogue.pre != nullptr) {
+    *epilogue.pre = Tensor({rows, out_dim});
+    out.pre_activation = epilogue.pre->data();
   }
-  Tensor out({rows, out_dim});
-  detail::gemm_bf16(false, true, rows, out_dim, in, x.data(), in, w.data(),
-                    in, out.data(), out_dim, epilogue);
-  return out;
-}
-
-Tensor linear_epilogue_i8(const QuantizedTensor& x, const QuantizedTensor& w,
-                          const Tensor* bias, detail::GemmEpilogue epilogue,
-                          const char* what) {
-  CARAML_CHECK_MSG(x.shape.size() == 2 && w.shape.size() == 2 &&
-                       x.cols() == w.cols(),
-                   std::string(what) + ": shape mismatch");
-  CARAML_CHECK_MSG(!x.per_channel(),
-                   std::string(what) + ": activations must be per-tensor");
-  CARAML_CHECK_MSG(w.per_channel() &&
-                       w.scales.size() == static_cast<std::size_t>(w.rows()),
-                   std::string(what) + ": weights must be per-channel rows");
-  const std::int64_t rows = x.rows();
-  const std::int64_t in = x.cols();
-  const std::int64_t out_dim = w.rows();
-  if (bias != nullptr) {
-    CARAML_CHECK_MSG(bias->numel() == out_dim,
-                     std::string(what) + ": bias size mismatch");
-    epilogue.bias = bias->data();
+  if (const Tensor* mask = epilogue.dropout_mask; mask != nullptr) {
+    CARAML_CHECK_MSG(mask->rank() == 2 && mask->dim(0) == rows &&
+                         mask->dim(1) == out_dim,
+                     "fused::linear: mask shape " +
+                         shape_to_string(mask->shape()) + " must be [" +
+                         std::to_string(rows) + ", " +
+                         std::to_string(out_dim) + "]");
+    out.dropout_mask = mask->data();
   }
-  Tensor out({rows, out_dim});
-  detail::gemm_i8(true, rows, out_dim, in, x.data.data(), in, w.data.data(),
-                  in, x.scales[0], w.scales.data(), out.data(), out_dim,
-                  epilogue);
   return out;
 }
 
 }  // namespace
 
-Tensor linear(const Tensor& x, const Tensor& w, const Tensor* bias) {
-  return linear_epilogue(x, w, bias, detail::GemmEpilogue{}, "fused::linear");
+Tensor linear(const Tensor& x, const Tensor& w, const Tensor* bias,
+              const LinearEpilogue& epilogue) {
+  CARAML_CHECK_MSG(x.rank() == 2 && w.rank() == 2,
+                   "fused::linear: operands must be rank 2");
+  const std::int64_t rows = x.dim(0), in = x.dim(1), out_dim = w.dim(0);
+  const detail::GemmEpilogue gemm_ep =
+      gemm_epilogue(rows, in, out_dim, w.dim(1), bias, epilogue);
+  Tensor out({rows, out_dim});
+  detail::gemm(false, true, rows, out_dim, in, x.data(), in, w.data(), in,
+               out.data(), out_dim, gemm_ep);
+  return out;
 }
 
-Tensor linear_gelu(const Tensor& x, const Tensor& w, const Tensor* bias,
-                   Tensor* pre) {
-  detail::GemmEpilogue epilogue;
-  epilogue.gelu = true;
-  if (pre != nullptr) {
-    *pre = Tensor({x.dim(0), w.dim(0)});
-    epilogue.pre_activation = pre->data();
-  }
-  return linear_epilogue(x, w, bias, epilogue, "fused::linear_gelu");
+Tensor linear(const Bf16Tensor& x, const Bf16Tensor& w, const Tensor* bias,
+              const LinearEpilogue& epilogue) {
+  CARAML_CHECK_MSG(x.rank() == 2 && w.rank() == 2,
+                   "fused::linear: operands must be rank 2");
+  const std::int64_t rows = x.dim(0), in = x.dim(1), out_dim = w.dim(0);
+  const detail::GemmEpilogue gemm_ep =
+      gemm_epilogue(rows, in, out_dim, w.dim(1), bias, epilogue);
+  Tensor out({rows, out_dim});
+  detail::gemm_bf16(false, true, rows, out_dim, in, x.data(), in, w.data(),
+                    in, out.data(), out_dim, gemm_ep);
+  return out;
 }
 
-Tensor linear_dropout(const Tensor& x, const Tensor& w, const Tensor* bias,
-                      const Tensor& mask) {
-  CARAML_CHECK_MSG(mask.rank() == 2 && mask.dim(0) == x.dim(0) &&
-                       mask.dim(1) == w.dim(0),
-                   "fused::linear_dropout: mask shape " +
-                       shape_to_string(mask.shape()) + " must be [" +
-                       std::to_string(x.dim(0)) + ", " +
-                       std::to_string(w.dim(0)) + "]");
-  detail::GemmEpilogue epilogue;
-  epilogue.dropout_mask = mask.data();
-  return linear_epilogue(x, w, bias, epilogue, "fused::linear_dropout");
-}
-
-Tensor linear_bf16(const Bf16Tensor& x, const Bf16Tensor& w,
-                   const Tensor* bias) {
-  return linear_epilogue_bf16(x, w, bias, detail::GemmEpilogue{},
-                              "fused::linear_bf16");
-}
-
-Tensor linear_gelu_bf16(const Bf16Tensor& x, const Bf16Tensor& w,
-                        const Tensor* bias, Tensor* pre) {
-  detail::GemmEpilogue epilogue;
-  epilogue.gelu = true;
-  if (pre != nullptr) {
-    *pre = Tensor({x.dim(0), w.dim(0)});
-    epilogue.pre_activation = pre->data();
-  }
-  return linear_epilogue_bf16(x, w, bias, epilogue, "fused::linear_gelu_bf16");
-}
-
-Tensor linear_dropout_bf16(const Bf16Tensor& x, const Bf16Tensor& w,
-                           const Tensor* bias, const Tensor& mask) {
-  CARAML_CHECK_MSG(mask.rank() == 2 && mask.dim(0) == x.dim(0) &&
-                       mask.dim(1) == w.dim(0),
-                   "fused::linear_dropout_bf16: mask shape " +
-                       shape_to_string(mask.shape()) + " must be [" +
-                       std::to_string(x.dim(0)) + ", " +
-                       std::to_string(w.dim(0)) + "]");
-  detail::GemmEpilogue epilogue;
-  epilogue.dropout_mask = mask.data();
-  return linear_epilogue_bf16(x, w, bias, epilogue,
-                              "fused::linear_dropout_bf16");
-}
-
-Tensor linear_i8(const QuantizedTensor& x, const QuantizedTensor& w,
-                 const Tensor* bias) {
-  return linear_epilogue_i8(x, w, bias, detail::GemmEpilogue{},
-                            "fused::linear_i8");
-}
-
-Tensor linear_gelu_i8(const QuantizedTensor& x, const QuantizedTensor& w,
-                      const Tensor* bias, Tensor* pre) {
-  detail::GemmEpilogue epilogue;
-  epilogue.gelu = true;
-  if (pre != nullptr) {
-    *pre = Tensor({x.rows(), w.rows()});
-    epilogue.pre_activation = pre->data();
-  }
-  return linear_epilogue_i8(x, w, bias, epilogue, "fused::linear_gelu_i8");
+Tensor linear(const QuantizedTensor& x, const QuantizedTensor& w,
+              const Tensor* bias, const LinearEpilogue& epilogue) {
+  CARAML_CHECK_MSG(x.shape.size() == 2 && w.shape.size() == 2,
+                   "fused::linear: operands must be rank 2");
+  CARAML_CHECK_MSG(!x.per_channel(),
+                   "fused::linear: int8 activations must be per-tensor");
+  CARAML_CHECK_MSG(w.per_channel() &&
+                       w.scales.size() == static_cast<std::size_t>(w.rows()),
+                   "fused::linear: int8 weights must be per-channel rows");
+  CARAML_CHECK_MSG(epilogue.dropout_mask == nullptr,
+                   "fused::linear: int8 is inference-only; no dropout");
+  const std::int64_t rows = x.rows(), in = x.cols(), out_dim = w.rows();
+  const detail::GemmEpilogue gemm_ep =
+      gemm_epilogue(rows, in, out_dim, w.cols(), bias, epilogue);
+  Tensor out({rows, out_dim});
+  detail::gemm_i8(true, rows, out_dim, in, x.data.data(), in, w.data.data(),
+                  in, x.scales[0], w.scales.data(), out.data(), out_dim,
+                  gemm_ep);
+  return out;
 }
 
 }  // namespace caraml::tensor::fused

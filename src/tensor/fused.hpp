@@ -3,19 +3,19 @@
 // Two families live here, both built on the blocked GEMM and the per-thread
 // Workspace arena:
 //
-// 1. Flash-attention-style causal self-attention. The head-loop formulation
-//    materializes a [T, T] score matrix and a [T, T] attention matrix per
-//    (batch, head) pair across five kernel launches, and caches every
-//    attention matrix for backward — an O(B·H·T²) memory blowup. The fused
-//    kernels instead walk query blocks of kAttentionBlock rows: causality
-//    bounds each block's live key range to the prefix [0, i0 + block), so one
-//    QK^T GEMM over that prefix, an exact softmax restricted to each row's
-//    unmasked columns (a branchless vectorized exp — libm's scalar expf is
-//    ~28% of the kernel otherwise), and one P·V GEMM finish the block.
-//    Scratch tops out at block · T floats per thread; nothing proportional to
-//    T² is ever allocated. Backward recomputes each block's probabilities
-//    from the cached QKV projections plus the per-row log-sum-exp the forward
-//    saves — O(B·H·T) extra state instead of O(B·H·T²).
+// 1. Flash-attention-style causal self-attention. A per-(batch, head) loop
+//    of dense kernels would materialize [T, T] score and attention matrices
+//    and cache every attention matrix for backward — an O(B·H·T²) memory
+//    blowup. These kernels instead walk query blocks of kAttentionBlock
+//    rows: causality bounds each block's live key range to the prefix
+//    [0, i0 + block), so one QK^T GEMM over that prefix, an exact softmax
+//    restricted to each row's unmasked columns (a branchless vectorized exp
+//    — libm's scalar expf is ~28% of the kernel otherwise), and one P·V GEMM
+//    finish the block. Scratch tops out at block · T floats per thread;
+//    nothing proportional to T² is ever allocated. Backward recomputes each
+//    block's probabilities from the cached QKV projections plus the per-row
+//    log-sum-exp the forward saves — O(B·H·T) extra state instead of
+//    O(B·H·T²).
 //
 //    Per (b, h), both kernels first stage Q/K/V (and dO in backward) from the
 //    packed [B*T, 3C] QKV projection into contiguous [T, head_dim] Workspace
@@ -26,9 +26,9 @@
 //    fixed sequential order, so outputs are byte-identical for any
 //    thread-pool size.
 //
-// 2. Fused linear epilogues: bias, bias+GELU and bias+dropout applied during
-//    the GEMM C write-back (see detail::GemmEpilogue) instead of as separate
-//    passes over the output.
+// 2. Fused linear: bias, bias+GELU and bias+dropout applied during the GEMM
+//    C write-back (see detail::GemmEpilogue) instead of as separate passes
+//    over the output.
 #pragma once
 
 #include "tensor/dtype.hpp"
@@ -53,8 +53,7 @@ inline constexpr std::int64_t kAttentionBlock = 64;
 /// lse: [B*H, T] row-major; receives the per-query-row log-sum-exp of the
 /// masked, scaled scores (the statistic backward needs to recompute
 /// attention tiles). Masked (future) positions are excluded before the
-/// softmax, exactly like the head-loop path: a NaN in a masked score slot
-/// never leaks into the output.
+/// softmax: a NaN in a masked score slot never leaks into the output.
 void causal_attention_forward(const float* qkv, std::int64_t batch,
                               std::int64_t time, std::int64_t embed,
                               std::int64_t num_heads, float* heads_out,
@@ -72,39 +71,35 @@ void causal_attention_backward(const float* qkv, const float* heads_out,
                                std::int64_t embed, std::int64_t num_heads,
                                float* d_qkv);
 
-/// out = x · W^T + b, bias added during the GEMM write-back.
-/// x [N, in], w [out, in], bias [out] (nullptr for no bias).
-Tensor linear(const Tensor& x, const Tensor& w, const Tensor* bias);
+/// The elementwise tail a fused linear applies to x · W^T + b during the
+/// GEMM write-back. The default is the bias alone.
+struct LinearEpilogue {
+  /// tanh-GELU after the bias.
+  bool gelu = false;
+  /// Receives the post-bias pre-activation [N, out] (what gelu_backward
+  /// consumes), captured during the same write-back.
+  Tensor* pre = nullptr;
+  /// Scaled keep-mask [N, out] multiplied in last (inverted-dropout
+  /// convention: kept elements hold 1/(1-p), dropped 0).
+  const Tensor* dropout_mask = nullptr;
+};
 
-/// out = gelu(x · W^T + b). When `pre` is non-null it receives the post-bias
-/// pre-activation (what gelu_backward consumes), captured during the same
-/// write-back.
-Tensor linear_gelu(const Tensor& x, const Tensor& w, const Tensor* bias,
-                   Tensor* pre);
+/// out = epilogue(x · W^T + b): x [N, in], w [out, in], bias [out] (nullptr
+/// for no bias). One overload per operand storage type; all three run the
+/// same epilogue on the fp32 GEMM result.
+Tensor linear(const Tensor& x, const Tensor& w, const Tensor* bias,
+              const LinearEpilogue& epilogue = {});
 
-/// out = (x · W^T + b) ∘ mask, with `mask` a scaled keep-mask shaped [N, out]
-/// (inverted-dropout convention: kept elements hold 1/(1-p), dropped 0).
-Tensor linear_dropout(const Tensor& x, const Tensor& w, const Tensor* bias,
-                      const Tensor& mask);
+/// bf16 operands: the GEMM widens while packing and accumulates fp32. The
+/// bias and mask stay fp32 (they are O(N) next to the O(N·C) GEMM traffic).
+Tensor linear(const Bf16Tensor& x, const Bf16Tensor& w, const Tensor* bias,
+              const LinearEpilogue& epilogue = {});
 
-/// bf16 variants of the fused linears: x and w are stored bf16, the GEMM
-/// widens while packing and accumulates fp32, and the bias/GELU/dropout
-/// epilogue applies to the fp32 result exactly as in the fp32 path. The bias
-/// and mask stay fp32 (they are O(N) next to the O(N·C) GEMM traffic).
-Tensor linear_bf16(const Bf16Tensor& x, const Bf16Tensor& w,
-                   const Tensor* bias);
-Tensor linear_gelu_bf16(const Bf16Tensor& x, const Bf16Tensor& w,
-                        const Tensor* bias, Tensor* pre);
-Tensor linear_dropout_bf16(const Bf16Tensor& x, const Bf16Tensor& w,
-                           const Tensor* bias, const Tensor& mask);
-
-/// int8 inference linears: x per-tensor quantized, w per-channel quantized
+/// int8 inference operands: x per-tensor quantized, w per-channel quantized
 /// ([out, in], one scale per output row). Integer accumulation with fp32
-/// dequant fused into the same epilogue write-back, so bias/GELU compose
-/// unchanged on the dequantized values.
-Tensor linear_i8(const QuantizedTensor& x, const QuantizedTensor& w,
-                 const Tensor* bias);
-Tensor linear_gelu_i8(const QuantizedTensor& x, const QuantizedTensor& w,
-                      const Tensor* bias, Tensor* pre);
+/// dequant fused into the same write-back, so bias/GELU compose unchanged on
+/// the dequantized values. Dropout is rejected: int8 is inference-only.
+Tensor linear(const QuantizedTensor& x, const QuantizedTensor& w,
+              const Tensor* bias, const LinearEpilogue& epilogue = {});
 
 }  // namespace caraml::tensor::fused

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace caraml {
 
@@ -10,19 +11,12 @@ namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
-
-// SplitMix64: seeds the xoshiro state from a single 64-bit value.
-inline std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
+  // SplitMix64 expands the single 64-bit seed into the xoshiro state.
   std::uint64_t sm = seed;
-  for (auto& s : state_) s = splitmix64(sm);
+  for (auto& s : state_) s = hash::mix64(sm += hash::kGoldenGamma);
   have_cached_normal_ = false;
 }
 

@@ -52,6 +52,15 @@ TEST(FaultSpaceEnum, GridIsDeterministicAndSeedSensitive) {
   }
 }
 
+TEST(FaultSpaceEnum, GoldenPlanSeedsArePinned) {
+  // Plan seeds follow the sweep engine's per-workpackage derivation.
+  const auto scenarios = enumerate_grid(FaultSpace::defaults(), 42, 100.0);
+  ASSERT_GE(scenarios.size(), 3u);
+  EXPECT_EQ(scenarios[0].plan.seed, 13679457532755275413ULL);
+  EXPECT_EQ(scenarios[1].plan.seed, 15664533255536094640ULL);
+  EXPECT_EQ(scenarios[2].plan.seed, 6904877152625194467ULL);
+}
+
 TEST(FaultSpaceEnum, RandomDrawsStayInsideTheAxes) {
   FaultSpace space = FaultSpace::defaults();
   space.times_frac = {0.1, 0.9};
@@ -146,6 +155,12 @@ TEST(CampaignConfig, FingerprintTracksOutcomeAffectingFields) {
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   b.tolerance = 0.5;
   EXPECT_NE(a.fingerprint(), b.fingerprint());
+}
+
+TEST(CampaignConfig, GoldenFingerprintIsPinned) {
+  // Keys the scenario result cache: a change invalidates every cache.
+  EXPECT_EQ(small_campaign().fingerprint(), "5e229097cecddb38");
+  EXPECT_EQ(CampaignConfig{}.fingerprint(), "008058bc7ea4f9ab");
 }
 
 // --- invariant checks -------------------------------------------------------------

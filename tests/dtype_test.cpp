@@ -423,7 +423,7 @@ TEST(FusedDtype, Bf16BiasEpilogueMatchesPostHocAdd) {
   const Bf16Tensor x = Bf16Tensor::from_float(Tensor::randn({19, 33}, rng));
   const Bf16Tensor w = Bf16Tensor::from_float(Tensor::randn({27, 33}, rng));
   const Tensor bias = Tensor::randn({27}, rng);
-  const Tensor fused_out = fused::linear_bf16(x, w, &bias);
+  const Tensor fused_out = fused::linear(x, w, &bias);
   const Tensor plain = matmul_nt_bf16(x, w);
   for (std::int64_t i = 0; i < 19; ++i) {
     for (std::int64_t j = 0; j < 27; ++j) {
@@ -440,7 +440,7 @@ TEST(FusedDtype, Bf16GeluCapturesPreActivation) {
   const Bf16Tensor w = Bf16Tensor::from_float(Tensor::randn({16, 24}, rng));
   const Tensor bias = Tensor::randn({16}, rng);
   Tensor pre;
-  const Tensor out = fused::linear_gelu_bf16(x, w, &bias, &pre);
+  const Tensor out = fused::linear(x, w, &bias, {.gelu = true, .pre = &pre});
   const Tensor plain = matmul_nt_bf16(x, w);
   for (std::int64_t i = 0; i < pre.numel(); ++i) {
     ASSERT_EQ(pre[i], plain[i] + bias[i % 16]);
@@ -458,7 +458,7 @@ TEST(FusedDtype, Int8LinearMatchesDequantReference) {
   const Tensor bias = Tensor::randn({21}, rng);
   const QuantizedTensor qx = quantize_per_tensor(xf);
   const QuantizedTensor qw = quantize_per_channel_rows(wf);
-  const Tensor out = fused::linear_i8(qx, qw, &bias);
+  const Tensor out = fused::linear(qx, qw, &bias);
   const Tensor ref = reference::matmul_i8(
       true, 13, 21, 40, qx.data.data(), qw.data.data(), qx.scales[0],
       qw.scales.data());
@@ -478,12 +478,21 @@ TEST(FusedDtype, Int8RejectsMismatchedQuantizationModes) {
   const QuantizedTensor qx = quantize_per_tensor(Tensor::randn({4, 8}, rng));
   const QuantizedTensor qw_per_tensor =
       quantize_per_tensor(Tensor::randn({6, 8}, rng));
-  EXPECT_THROW(fused::linear_i8(qx, qw_per_tensor, nullptr), Error);
+  EXPECT_THROW(fused::linear(qx, qw_per_tensor, nullptr), Error);
   const QuantizedTensor qx_per_channel =
       quantize_per_channel_rows(Tensor::randn({4, 8}, rng));
   const QuantizedTensor qw =
       quantize_per_channel_rows(Tensor::randn({6, 8}, rng));
-  EXPECT_THROW(fused::linear_i8(qx_per_channel, qw, nullptr), Error);
+  EXPECT_THROW(fused::linear(qx_per_channel, qw, nullptr), Error);
+}
+
+TEST(FusedDtype, Int8RejectsDropout) {
+  Rng rng(25);
+  const QuantizedTensor qx = quantize_per_tensor(Tensor::randn({4, 8}, rng));
+  const QuantizedTensor qw =
+      quantize_per_channel_rows(Tensor::randn({6, 8}, rng));
+  const Tensor mask = Tensor::ones({4, 6});
+  EXPECT_THROW(fused::linear(qx, qw, nullptr, {.dropout_mask = &mask}), Error);
 }
 
 // --- determinism across thread counts ---------------------------------------

@@ -294,6 +294,21 @@ TEST(RetryWithBackoff, SameSeedSameBackoffSchedule) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(RetryPolicy, GoldenJitteredDelayIsPinned) {
+  // Pins the splitmix64 jitter draw: a change here reshuffles every
+  // recorded retry schedule.
+  RetryPolicy policy;
+  policy.seed = 0x5EEDULL;
+  policy.jitter_frac = 0.5;
+  EXPECT_EQ(policy.delay_s(2), 0.20820027718485745);
+  EXPECT_EQ(policy.delay_s(5), 1.093344579904747);
+}
+
+TEST(FaultPlan, GoldenFingerprintIsPinned) {
+  EXPECT_EQ(FaultPlan::generate(11, 2.0, 300.0, 4).fingerprint(),
+            "f52af151bc45b432");
+}
+
 // --- TrainingCheckpoint -----------------------------------------------------------
 
 TEST(TrainingCheckpoint, JsonRoundTrip) {
@@ -309,6 +324,20 @@ TEST(TrainingCheckpoint, JsonRoundTrip) {
   EXPECT_EQ(parsed.samples_consumed, original.samples_consumed);
   EXPECT_DOUBLE_EQ(parsed.optimizer_clock_s, original.optimizer_clock_s);
   EXPECT_EQ(parsed.sampler_state, original.sampler_state);
+}
+
+TEST(TrainingCheckpoint, GoldenFingerprintIsPinned) {
+  // Checkpoints on disk carry this fingerprint; a hashing change that moved
+  // it would reject every existing checkpoint as corrupt.
+  TrainingCheckpoint checkpoint;
+  checkpoint.step = 40;
+  checkpoint.samples_consumed = 81920;
+  checkpoint.optimizer_clock_s = 12.75;
+  checkpoint.sampler_state = 0xDEADBEEFCAFEF00DULL;
+  EXPECT_EQ(checkpoint.to_json(),
+            "{\"schema_version\":2,\"step\":40,\"samples_consumed\":81920,"
+            "\"optimizer_clock_s\":12.75,\"sampler_state\":"
+            "\"deadbeefcafef00d\",\"fingerprint\":\"55411d0fb729cb5f\"}");
 }
 
 TEST(TrainingCheckpoint, SaveAndLoadThroughDisk) {

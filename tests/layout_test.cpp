@@ -14,11 +14,13 @@
 #include <vector>
 
 #include "check/layout_model.hpp"
+#include "core/caraml.hpp"
 #include "core/llm.hpp"
 #include "jube/jube.hpp"
 #include "par/pipeline.hpp"
 #include "sim/layout_analytic.hpp"
 #include "topo/specs.hpp"
+#include "util/error.hpp"
 
 namespace caraml::check {
 namespace {
@@ -265,6 +267,51 @@ TEST(SkipDoomed, WorkpackageDoomReasons) {
 
   // Unknown actions and non-GPU systems never gate.
   EXPECT_EQ(workpackage_doom_reason(doomed, {"mystery_step"}), "");
+}
+
+// The gate must reject exactly what the action would throw on: run each
+// context through the real action and compare.
+void expect_gate_agrees_with_action(const jube::Context& context,
+                                    const std::string& action,
+                                    const std::string& reason_part) {
+  jube::ActionRegistry registry;
+  core::register_caraml_actions(registry);
+  const std::string reason = workpackage_doom_reason(context, {action});
+  if (reason_part.empty()) {
+    EXPECT_EQ(reason, "");
+    EXPECT_NO_THROW(registry.at(action)(context));
+  } else {
+    EXPECT_NE(reason.find(reason_part), std::string::npos) << reason;
+    EXPECT_THROW(registry.at(action)(context), Error);
+  }
+}
+
+TEST(SkipDoomed, LlmTrainRejectsMoreDevicesThanOneNode) {
+  // llm_train simulates a single node: 8 devices on a 4-GPU A100 node must
+  // be gated, not passed on to throw inside the cluster simulator.
+  const jube::Context base{{"system", "A100"}, {"model", "800M"},
+                           {"global_batch", "256"}, {"micro_batch", "4"}};
+  jube::Context eight = base;
+  eight["devices"] = "8";
+  expect_gate_agrees_with_action(eight, "llm_train", "4-device node");
+  jube::Context four = base;
+  four["devices"] = "4";
+  expect_gate_agrees_with_action(four, "llm_train", "");
+}
+
+TEST(SkipDoomed, ResnetTrainAppliesTheRunnersNodeChecks) {
+  // H100 has one node of 4: 8 devices need a second node it does not have.
+  expect_gate_agrees_with_action({{"system", "H100"}, {"devices", "8"},
+                                  {"global_batch", "256"}},
+                                 "resnet_train", "has only 1 node");
+  // Multi-node runs must fill every node: 6 devices on 4-GPU A100 nodes.
+  expect_gate_agrees_with_action({{"system", "A100"}, {"devices", "6"},
+                                  {"global_batch", "240"}},
+                                 "resnet_train", "full nodes");
+  // Two full A100 nodes fit its 4-node cluster.
+  expect_gate_agrees_with_action({{"system", "A100"}, {"devices", "8"},
+                                  {"global_batch", "256"}},
+                                 "resnet_train", "");
 }
 
 TEST(SkipDoomed, SweepMarksGatedWorkpackagesSkipped) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "attention_oracle.hpp"
 #include "nn/attention.hpp"
 #include "nn/conv.hpp"
 #include "nn/gpt.hpp"
@@ -264,53 +266,104 @@ TEST(Attention, HeadDivisibilityEnforced) {
   EXPECT_THROW(CausalSelfAttention(10, 3, rng), Error);
 }
 
-TEST(Attention, FusedEngineMatchesHeadLoopEngine) {
-  // Two modules built from identical rng streams hold identical weights; the
-  // fused streaming engine and the dense head-loop engine must agree on the
-  // output, the input gradient, and every parameter gradient. T = 70 crosses
-  // the fused kernel's tile boundary; 12 (b, h) pairs exercise the parallel
-  // dispatch.
-  Rng rng_a(21), rng_b(21), rng_x(22);
-  CausalSelfAttention fused_attn(24, 4, rng_a);
-  CausalSelfAttention loop_attn(24, 4, rng_b);
-  fused_attn.set_engine(CausalSelfAttention::Engine::kFused);
-  loop_attn.set_engine(CausalSelfAttention::Engine::kHeadLoop);
-
-  const Tensor x = Tensor::randn({3, 70, 24}, rng_x, 0.5f);
-  const Tensor y_fused = fused_attn.forward(x);
-  const Tensor y_loop = loop_attn.forward(x);
-  ASSERT_EQ(y_fused.shape(), y_loop.shape());
-  const float tol = 1e-4f;
-  for (std::int64_t i = 0; i < y_fused.numel(); ++i) {
-    ASSERT_NEAR(y_fused[i], y_loop[i], tol) << "output at " << i;
-  }
-
-  const Tensor g = Tensor::randn(y_fused.shape(), rng_x);
-  const Tensor dx_fused = fused_attn.backward(g);
-  const Tensor dx_loop = loop_attn.backward(g);
-  for (std::int64_t i = 0; i < dx_fused.numel(); ++i) {
-    ASSERT_NEAR(dx_fused[i], dx_loop[i], tol) << "input grad at " << i;
-  }
-  const auto params_fused = fused_attn.parameters();
-  const auto params_loop = loop_attn.parameters();
-  ASSERT_EQ(params_fused.size(), params_loop.size());
-  for (std::size_t p = 0; p < params_fused.size(); ++p) {
-    const Tensor& gf = params_fused[p]->grad;
-    const Tensor& gl = params_loop[p]->grad;
-    ASSERT_EQ(gf.shape(), gl.shape());
-    for (std::int64_t i = 0; i < gf.numel(); ++i) {
-      ASSERT_NEAR(gf[i], gl[i], tol)
-          << "param " << params_fused[p]->name << " grad at " << i;
+// fp64 x · W^T + b over rows of x [N, in], W [out, in].
+Tensor linear_fp64(const Tensor& x, const Tensor& w, const Tensor& b) {
+  const std::int64_t n = x.dim(0), in = x.dim(1), out_dim = w.dim(0);
+  Tensor y({n, out_dim});
+  for (std::int64_t r = 0; r < n; ++r) {
+    for (std::int64_t o = 0; o < out_dim; ++o) {
+      double acc = b[o];
+      for (std::int64_t i = 0; i < in; ++i) {
+        acc += static_cast<double>(x[r * in + i]) * w[o * in + i];
+      }
+      y[r * out_dim + o] = static_cast<float>(acc);
     }
+  }
+  return y;
+}
+
+// fp64 backward of linear_fp64 for the incoming gradient g [N, out]: returns
+// dx and writes dw / db.
+Tensor linear_backward_fp64(const Tensor& x, const Tensor& w, const Tensor& g,
+                            Tensor& dw, Tensor& db) {
+  const std::int64_t n = x.dim(0), in = x.dim(1), out_dim = w.dim(0);
+  Tensor dx({n, in});
+  dw = Tensor({out_dim, in});
+  db = Tensor({out_dim});
+  for (std::int64_t o = 0; o < out_dim; ++o) {
+    double bias_acc = 0.0;
+    for (std::int64_t r = 0; r < n; ++r) bias_acc += g[r * out_dim + o];
+    db[o] = static_cast<float>(bias_acc);
+    for (std::int64_t i = 0; i < in; ++i) {
+      double acc = 0.0;
+      for (std::int64_t r = 0; r < n; ++r) {
+        acc += static_cast<double>(g[r * out_dim + o]) * x[r * in + i];
+      }
+      dw[o * in + i] = static_cast<float>(acc);
+    }
+  }
+  for (std::int64_t r = 0; r < n; ++r) {
+    for (std::int64_t i = 0; i < in; ++i) {
+      double acc = 0.0;
+      for (std::int64_t o = 0; o < out_dim; ++o) {
+        acc += static_cast<double>(g[r * out_dim + o]) * w[o * in + i];
+      }
+      dx[r * in + i] = static_cast<float>(acc);
+    }
+  }
+  return dx;
+}
+
+// |got - want| within rel_tol of want's largest magnitude.
+void expect_close_rel(const Tensor& got, const Tensor& want, float rel_tol,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  const float scale = tensor::max_abs(want);
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_NEAR(got[i], want[i], rel_tol * scale) << what << " at " << i;
   }
 }
 
-TEST(Attention, HeadLoopEngineGradientsMatchFiniteDifference) {
-  Rng rng(12);
-  CausalSelfAttention attn(4, 2, rng);
-  attn.set_engine(CausalSelfAttention::Engine::kHeadLoop);
-  const Tensor x = Tensor::randn({1, 3, 4}, rng, 0.5f);
-  check_gradients(attn, x, 1e-2f, 5e-2f, 11, 1);
+TEST(Attention, MatchesFp64Oracle) {
+  // The module (QKV projection, fused attention, output projection) against
+  // the same chain in double precision on the shared attention oracle: the
+  // output, the input gradient and all four parameter gradients. T = 70
+  // crosses the fused kernel's kAttentionBlock tile boundary; 12 (b, h)
+  // pairs exercise the parallel dispatch.
+  const tensor::AttentionShape s{3, 4, 70, 24};
+  Rng rng(21), rng_x(22);
+  CausalSelfAttention attn(s.embed, s.heads, rng);
+  const auto params = attn.parameters();  // qkv_w, qkv_b, proj_w, proj_b
+  ASSERT_EQ(params.size(), 4u);
+  // Weights far above the 0.02 init scale, so the softmax rows are peaked
+  // rather than near-uniform and every term of the chain shows in the output.
+  for (Parameter* p : params) p->value = Tensor::randn(p->value.shape(), rng);
+
+  const Tensor x = Tensor::randn({s.batch, s.time, s.embed}, rng_x, 0.5f);
+  const Tensor x_flat = x.reshape({s.batch * s.time, s.embed});
+  const Tensor qkv = linear_fp64(x_flat, params[0]->value, params[1]->value);
+  const Tensor heads = tensor::naive_causal_attention(qkv, s);
+  const Tensor want_y = linear_fp64(heads, params[2]->value, params[3]->value);
+
+  attn.zero_grad();
+  const Tensor y = attn.forward(x);
+  expect_close_rel(y.reshape(want_y.shape()), want_y, 2e-5f, "output");
+
+  const Tensor g = Tensor::randn(y.shape(), rng_x);
+  const Tensor g_flat = g.reshape(want_y.shape());
+  Tensor want_dw_proj, want_db_proj, want_dw_qkv, want_db_qkv;
+  const Tensor d_heads = linear_backward_fp64(
+      heads, params[2]->value, g_flat, want_dw_proj, want_db_proj);
+  const Tensor d_qkv = tensor::naive_causal_attention_backward(qkv, d_heads, s);
+  const Tensor want_dx = linear_backward_fp64(
+      x_flat, params[0]->value, d_qkv, want_dw_qkv, want_db_qkv);
+
+  const Tensor dx = attn.backward(g);
+  expect_close_rel(dx.reshape(want_dx.shape()), want_dx, 2e-5f, "input grad");
+  expect_close_rel(params[0]->grad, want_dw_qkv, 2e-5f, "qkv weight grad");
+  expect_close_rel(params[1]->grad, want_db_qkv, 2e-5f, "qkv bias grad");
+  expect_close_rel(params[2]->grad, want_dw_proj, 2e-5f, "proj weight grad");
+  expect_close_rel(params[3]->grad, want_db_proj, 2e-5f, "proj bias grad");
 }
 
 // --- transformer block / GPT ----------------------------------------------------------

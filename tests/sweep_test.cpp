@@ -251,6 +251,14 @@ TEST(Sweep, FingerprintSensitiveToEveryIdentityField) {
             workpackage_fingerprint("a", {{"bc", "d"}}, {}, ""));
 }
 
+TEST(Sweep, GoldenFingerprintIsPinned) {
+  // Keys the on-disk sweep cache: a change invalidates every cache.
+  EXPECT_EQ(workpackage_fingerprint("demo", {{"shard", "0"}, {"system", "A100"}},
+                                    {{"work", "compute"}}, "fault-x"),
+            "022932398c586426");
+  EXPECT_EQ(workpackage_fingerprint("", {}, {}, ""), "9abe0000c590d8b1");
+}
+
 // --- wall-clock speedup -----------------------------------------------------------
 
 TEST(Sweep, ParallelSweepIsFasterThanSequential) {
