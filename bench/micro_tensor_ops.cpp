@@ -73,11 +73,11 @@ BENCHMARK(BM_MatmulTn)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 // Naming contract for `bench_perf.py dtype-speedup`: a dtype benchmark pairs
 // with the fp32 benchmark whose name is the same minus the "Bf16" / "Int8"
 // token (BM_MatmulBf16Wide/4096 <-> BM_MatmulWide/4096). The Wide shapes are
-// the bandwidth-bound decode case (8 rows against a square weight): there the
-// GEMM streams op(B) once per call and the 2x / 4x smaller storage of
-// bf16 / int8 converts directly into speedup. The cubic shapes are
-// compute-bound on this substrate and document that dtype storage does NOT
-// help when the packing already amortizes the traffic.
+// the decode case (8 rows against a square weight): every dtype streams op(B)
+// once per call on the same skinny path, so the pair measures what the 2x /
+// 4x smaller storage of bf16 / int8 buys net of widening cost. The cubic
+// shapes are compute-bound on this substrate and document that dtype storage
+// does NOT help when the packing already amortizes the traffic.
 
 void BM_MatmulBf16(benchmark::State& state) {
   const std::int64_t n = state.range(0);

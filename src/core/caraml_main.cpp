@@ -96,6 +96,42 @@ bool fault_active(const ArgParser& parser) {
          parser.get_double("fault-rate") > 0.0;
 }
 
+// ---------------------------------------------------------------------------
+// Report flags shared by lint / analyse-trace / chaos: --format picks what
+// goes to stdout, --json-out always receives the JSON document.
+// ---------------------------------------------------------------------------
+
+void add_report_options(ArgParser& parser) {
+  parser.add_option("format", "report format: human|json",
+                    std::string("human"));
+  parser.add_option("json-out",
+                    "also write the JSON report here ('' = off)",
+                    std::string(""));
+}
+
+// The --format value, or "" after printing the usage error.
+std::string report_format(const ArgParser& parser, const std::string& command) {
+  const std::string format = parser.get("format");
+  if (format == "human" || format == "json") return format;
+  std::cerr << command << ": unknown format '" << format << "'\n";
+  return "";
+}
+
+// Writes `json_doc` to --json-out when one is given; false after printing
+// why it could not.
+bool write_json_out(const ArgParser& parser, const std::string& command,
+                    const std::string& json_doc) {
+  const std::string path = parser.get("json-out");
+  if (path.empty()) return true;
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << command << ": cannot write " << path << "\n";
+    return false;
+  }
+  out << json_doc;
+  return true;
+}
+
 core::ResilienceOptions resilience_from_parser(const ArgParser& parser,
                                                int num_devices) {
   core::ResilienceOptions options;
@@ -856,11 +892,7 @@ int cmd_lint(const std::vector<std::string>& args) {
   ArgParser parser("caraml lint",
                    "statically validate suite inputs (JUBE scripts, fault "
                    "plans, calibration tables) without running anything");
-  parser.add_option("format", "report format: human|json",
-                    std::string("human"));
-  parser.add_option("json-out",
-                    "also write the JSON report here ('' = off)",
-                    std::string(""));
+  add_report_options(parser);
   parser.add_flag("strict", "treat warnings as errors for the exit code");
   parser.add_flag("list-rules", "print the rule catalogue and exit");
   parser.set_collect_positionals(true);  // paths and options interleave
@@ -899,24 +931,11 @@ int cmd_lint(const std::vector<std::string>& args) {
   };
 
   check::DiagnosticList diags = check::lint_paths(paths, options);
-  const std::string format = parser.get("format");
-  if (format == "json") {
-    std::cout << diags.render_json() << "\n";
-  } else if (format == "human") {
-    std::cout << diags.render_human();
-  } else {
-    std::cerr << "caraml lint: unknown format '" << format << "'\n";
-    return 2;
-  }
-  if (!parser.get("json-out").empty()) {
-    std::ofstream out(parser.get("json-out"));
-    if (!out) {
-      std::cerr << "caraml lint: cannot write " << parser.get("json-out")
-                << "\n";
-      return 2;
-    }
-    out << diags.render_json() << "\n";
-  }
+  const std::string format = report_format(parser, "caraml lint");
+  if (format.empty()) return 2;
+  const std::string json_doc = diags.render_json() + "\n";
+  std::cout << (format == "json" ? json_doc : diags.render_human());
+  if (!write_json_out(parser, "caraml lint", json_doc)) return 2;
   const bool failed =
       diags.has_errors() ||
       (parser.get_flag("strict") &&
@@ -929,11 +948,7 @@ int cmd_analyse_trace(const std::vector<std::string>& args) {
                    "automated bottleneck analysis over a Chrome trace: "
                    "critical path, pipeline bubbles, collective patterns, "
                    "load imbalance, queue wait, energy attribution");
-  parser.add_option("format", "report format: human|json",
-                    std::string("human"));
-  parser.add_option("json-out",
-                    "also write the JSON report here ('' = off)",
-                    std::string(""));
+  add_report_options(parser);
   parser.add_option("top", "findings kept in the bottleneck summary",
                     std::string("5"));
   parser.add_option("metrics",
@@ -957,11 +972,8 @@ int cmd_analyse_trace(const std::vector<std::string>& args) {
     return 0;
   }
 
-  const std::string format = parser.get("format");
-  if (format != "human" && format != "json") {
-    std::cerr << "caraml analyse-trace: unknown format '" << format << "'\n";
-    return 2;
-  }
+  const std::string format = report_format(parser, "caraml analyse-trace");
+  if (format.empty()) return 2;
   const std::vector<std::string>& paths = parser.rest();
   if (paths.empty()) {
     std::cerr << "caraml analyse-trace: no trace file given (run a benchmark "
@@ -974,6 +986,7 @@ int cmd_analyse_trace(const std::vector<std::string>& args) {
   options.metrics_dir = parser.get("metrics");
 
   int failed = 0;
+  std::string json_docs;  // one document per trace, in argument order
   for (const auto& path : paths) {
     std::string rendered;
     std::string json_doc;  // --json-out always gets JSON, whatever --format
@@ -1001,16 +1014,9 @@ int cmd_analyse_trace(const std::vector<std::string>& args) {
       ++failed;
     }
     std::cout << rendered;
-    if (!parser.get("json-out").empty()) {
-      std::ofstream out(parser.get("json-out"));
-      if (!out) {
-        std::cerr << "caraml analyse-trace: cannot write "
-                  << parser.get("json-out") << "\n";
-        return 2;
-      }
-      out << json_doc;
-    }
+    json_docs += json_doc;
   }
+  if (!write_json_out(parser, "caraml analyse-trace", json_docs)) return 2;
   return failed > 0 ? 1 : 0;
 }
 
@@ -1029,19 +1035,12 @@ int cmd_chaos(const std::vector<std::string>& args) {
   parser.add_option("out",
                     "directory for manifests + checkpoints (default: temp)",
                     std::string(""));
-  parser.add_option("format", "report format: human|json",
-                    std::string("human"));
-  parser.add_option("json-out",
-                    "also write the JSON report here ('' = off)",
-                    std::string(""));
+  add_report_options(parser);
   parser.add_flag("verbose", "log each scenario outcome as it lands");
   if (!parser.parse(args)) return 0;
 
-  const std::string format = parser.get("format");
-  if (format != "human" && format != "json") {
-    std::cerr << "caraml chaos: unknown format '" << format << "'\n";
-    return 2;
-  }
+  const std::string format = report_format(parser, "caraml chaos");
+  if (format.empty()) return 2;
   const std::string campaign_path = parser.get("campaign");
   if (campaign_path.empty()) {
     std::cerr << "caraml chaos: no campaign given (try: caraml chaos "
@@ -1068,15 +1067,7 @@ int cmd_chaos(const std::vector<std::string>& args) {
     diags.sort();
     std::cout << diags.render_human();
   }
-  if (!parser.get("json-out").empty()) {
-    std::ofstream out(parser.get("json-out"));
-    if (!out) {
-      std::cerr << "caraml chaos: cannot write " << parser.get("json-out")
-                << "\n";
-      return 2;
-    }
-    out << json_doc;
-  }
+  if (!write_json_out(parser, "caraml chaos", json_doc)) return 2;
   return report.violated() > 0 ? 1 : 0;
 }
 

@@ -80,15 +80,22 @@ void Communicator::all_reduce_sum(Tensor& value) {
   // each rank installs its privately computed sum.
   group_->collect_pointer(rank_, &value);
   barrier();
-  Tensor sum(value.shape());
-  for (int r = 0; r < size(); ++r) {
-    const auto* contribution =
-        static_cast<const Tensor*>(group_->pointer_of(r));
-    CARAML_CHECK_MSG(contribution->same_shape(value),
-                     "all_reduce shape mismatch across ranks");
-    tensor::add_inplace(sum, *contribution);
+  const auto contribution = [&](int r) {
+    return static_cast<const Tensor*>(group_->pointer_of(r));
+  };
+  // Every rank compares every shape with rank 0's, so all reach the same
+  // verdict, and all throw together after the next barrier: a rank that
+  // threw early would free its tensor while peers still read it.
+  bool shapes_match = true;
+  for (int r = 1; r < size() && shapes_match; ++r) {
+    shapes_match = contribution(r)->same_shape(*contribution(0));
   }
-  barrier();  // all reads done before anyone overwrites
+  Tensor sum(value.shape());
+  if (shapes_match) {
+    for (int r = 0; r < size(); ++r) tensor::add_inplace(sum, *contribution(r));
+  }
+  barrier();  // all reads done before anyone overwrites or throws
+  CARAML_CHECK_MSG(shapes_match, "all_reduce shape mismatch across ranks");
   value = std::move(sum);
   barrier();  // all writes done before pointers are reused
 }

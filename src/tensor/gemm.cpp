@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 
 #include "tensor/activations.hpp"
 #include "tensor/workspace.hpp"
@@ -18,11 +20,15 @@ namespace {
 constexpr int MR = kGemmMR;
 constexpr int NR = kGemmNR;
 
-// Widen one stored element to the fp32 the kernels compute in. The packing
-// and direct loops are templated on the storage type and call this, so the
-// fp32 and bf16 paths share one skeleton; for float it is the identity and
-// compiles away, keeping the fp32 path bit-identical to its untemplated
-// form.
+// int8 dequantization scales (see gemm_i8); the fp32-accumulating storage
+// types ignore them.
+struct Scales {
+  float a = 1.0f;
+  const float* b = nullptr;  // [n], per output column
+};
+
+// Widen one stored element to the fp32 the float kernels compute in. For
+// float it is the identity and compiles away.
 inline float to_f32(float x) { return x; }
 inline float to_f32(std::uint16_t x) {
   const std::uint32_t bits = static_cast<std::uint32_t>(x) << 16;
@@ -131,427 +137,15 @@ void micro_kernel(std::int64_t kc, const float* __restrict ap,
 
 #endif
 
-// Pack op(B)[pc:pc+kc, j0:j0+nc] into ceil(nc/NR) panels of NR columns
-// (panel stride kc*NR), zero-padding the ragged last panel. SrcT is float or
-// bf16 bits; the packed panel is always fp32 (bf16 widens here, once, so the
-// micro-kernel needs no dtype awareness).
-template <typename SrcT>
-void pack_b(bool trans_b, const SrcT* b, std::int64_t ldb, std::int64_t pc,
-            std::int64_t j0, std::int64_t kc, std::int64_t nc, float* bp) {
-  const std::int64_t panels = (nc + NR - 1) / NR;
-  for (std::int64_t pj = 0; pj < panels; ++pj) {
-    const std::int64_t jc = j0 + pj * NR;
-    const int cols = static_cast<int>(std::min<std::int64_t>(NR, j0 + nc - jc));
-    float* __restrict dst = bp + pj * kc * NR;
-    if (!trans_b) {
-      for (std::int64_t p = 0; p < kc; ++p) {
-        const SrcT* __restrict src = b + (pc + p) * ldb + jc;
-        float* __restrict row = dst + p * NR;
-        for (int jj = 0; jj < cols; ++jj) row[jj] = to_f32(src[jj]);
-        for (int jj = cols; jj < NR; ++jj) row[jj] = 0.0f;
-      }
-    } else {
-      // op(B)(p, j) = B[j, p]: one strided column write per source row.
-      if (cols < NR) std::memset(dst, 0, sizeof(float) * kc * NR);
-      for (int jj = 0; jj < cols; ++jj) {
-        const SrcT* __restrict src = b + (jc + jj) * ldb + pc;
-        for (std::int64_t p = 0; p < kc; ++p) dst[p * NR + jj] = to_f32(src[p]);
-      }
-    }
-  }
-}
-
-// Pack op(A)[i0:i0+mc, pc:pc+kc] into ceil(mc/MR) panels of MR rows
-// (panel stride kc*MR), zero-padding the ragged last panel.
-template <typename SrcT>
-void pack_a(bool trans_a, const SrcT* a, std::int64_t lda, std::int64_t i0,
-            std::int64_t pc, std::int64_t mc, std::int64_t kc, float* ap) {
-  const std::int64_t panels = (mc + MR - 1) / MR;
-  for (std::int64_t pi = 0; pi < panels; ++pi) {
-    const std::int64_t ic = i0 + pi * MR;
-    const int rows = static_cast<int>(std::min<std::int64_t>(MR, i0 + mc - ic));
-    float* __restrict dst = ap + pi * kc * MR;
-    if (!trans_a) {
-      if (rows < MR) std::memset(dst, 0, sizeof(float) * kc * MR);
-      for (int ii = 0; ii < rows; ++ii) {
-        const SrcT* __restrict src = a + (ic + ii) * lda + pc;
-        for (std::int64_t p = 0; p < kc; ++p) dst[p * MR + ii] = to_f32(src[p]);
-      }
-    } else {
-      // op(A)(i, p) = A[p, i]: contiguous row reads.
-      for (std::int64_t p = 0; p < kc; ++p) {
-        const SrcT* __restrict src = a + (pc + p) * lda + ic;
-        float* __restrict col = dst + p * MR;
-        for (int ii = 0; ii < rows; ++ii) col[ii] = to_f32(src[ii]);
-        for (int ii = rows; ii < MR; ++ii) col[ii] = 0.0f;
-      }
-    }
-  }
-}
-
-// Direct register-accumulating loops for matrices too small to amortize
-// packing. Never skips zero operands: 0 * NaN must stay NaN.
-template <typename SrcT>
-void gemm_direct(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-                 std::int64_t k, const SrcT* __restrict a, std::int64_t lda,
-                 const SrcT* __restrict b, std::int64_t ldb,
-                 float* __restrict c, std::int64_t ldc) {
-  if (!trans_a && !trans_b) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      const SrcT* __restrict a_row = a + i * lda;
-      float* __restrict c_row = c + i * ldc;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const float a_val = to_f32(a_row[p]);
-        const SrcT* __restrict b_row = b + p * ldb;
-        for (std::int64_t j = 0; j < n; ++j)
-          c_row[j] += a_val * to_f32(b_row[j]);
-      }
-    }
-  } else if (!trans_a && trans_b) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      const SrcT* __restrict a_row = a + i * lda;
-      float* __restrict c_row = c + i * ldc;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const SrcT* __restrict b_row = b + j * ldb;
-        float acc = 0.0f;
-        for (std::int64_t p = 0; p < k; ++p)
-          acc += to_f32(a_row[p]) * to_f32(b_row[p]);
-        c_row[j] += acc;
-      }
-    }
-  } else {
-    for (std::int64_t p = 0; p < k; ++p) {
-      const SrcT* __restrict a_row = a + p * lda;
-      const SrcT* __restrict b_row = b + p * ldb;
-      for (std::int64_t i = 0; i < m; ++i) {
-        const float a_val = to_f32(a_row[i]);
-        float* __restrict c_row = c + i * ldc;
-        for (std::int64_t j = 0; j < n; ++j)
-          c_row[j] += a_val * to_f32(b_row[j]);
-      }
-    }
-  }
-}
-
-// Apply the epilogue to the C block rows [row0, row0+rows) x cols
-// [col0, col0+cols). Indices are absolute so bias/mask/pre line up with the
-// full output. Each stage is its own branch-free pass over the row segment
-// (in GemmEpilogue's order), so every pass vectorizes — the GELU pass
-// included — and each element sees the same operations as a fused loop.
-void apply_epilogue(const GemmEpilogue& ep, float* c, std::int64_t ldc,
-                    std::int64_t row0, std::int64_t rows, std::int64_t col0,
-                    std::int64_t cols) {
-  const float* __restrict bias = ep.bias != nullptr ? ep.bias + col0 : nullptr;
-  for (std::int64_t i = row0; i < row0 + rows; ++i) {
-    float* __restrict c_row = c + i * ldc + col0;
-    if (bias != nullptr) {
-      for (std::int64_t j = 0; j < cols; ++j) c_row[j] += bias[j];
-    }
-    if (ep.pre_activation != nullptr) {
-      std::memcpy(ep.pre_activation + i * ldc + col0, c_row,
-                  static_cast<std::size_t>(cols) * sizeof(float));
-    }
-    if (ep.gelu) {
-      for (std::int64_t j = 0; j < cols; ++j) c_row[j] = gelu_scalar(c_row[j]);
-    }
-    if (ep.dropout_mask != nullptr) {
-      const float* __restrict mask = ep.dropout_mask + i * ldc + col0;
-      for (std::int64_t j = 0; j < cols; ++j) c_row[j] *= mask[j];
-    }
-  }
-}
-
-// The shared three-level blocked driver (see the header comment). SrcT is
-// float (the original fp32 path, bit-identical) or bf16 bits; all packing
-// widens to fp32 so the one micro-kernel serves both.
-template <typename SrcT>
-void gemm_impl(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-               std::int64_t k, const SrcT* a, std::int64_t lda, const SrcT* b,
-               std::int64_t ldb, float* c, std::int64_t ldc,
-               const GemmEpilogue& epilogue) {
-  CARAML_CHECK_MSG(!(trans_a && trans_b), "gemm: T·T is unsupported");
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    // Nothing to accumulate, but the epilogue (e.g. a bias) still applies to
-    // the caller-initialized C.
-    if (!epilogue.empty()) apply_epilogue(epilogue, c, ldc, 0, m, 0, n);
-    return;
-  }
-  if (m * n * k <= kGemmDirectThreshold) {
-    gemm_direct(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc);
-    if (!epilogue.empty()) apply_epilogue(epilogue, c, ldc, 0, m, 0, n);
-    return;
-  }
-
-  for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-    const std::int64_t kc = std::min(kGemmKC, k - pc);
-    // The epilogue fires once per C element, after its final accumulation.
-    const bool last_kc_slice = pc + kc == k;
-    for (std::int64_t jc = 0; jc < n; jc += kGemmNC) {
-      const std::int64_t nc = std::min(kGemmNC, n - jc);
-      const std::int64_t n_panels = (nc + NR - 1) / NR;
-      Workspace::Buffer b_panel =
-          Workspace::local().take(static_cast<std::size_t>(n_panels * kc * NR));
-      pack_b(trans_b, b, ldb, pc, jc, kc, nc, b_panel.data());
-
-      // Chunk rows so each task runs at least ~256K multiply-adds. The grain
-      // is rounded up to a multiple of MR so chunk boundaries (which
-      // parallel_for_range keeps grain-aligned) never split a micro-panel:
-      // a mid-panel boundary would push interior tiles down the scalar
-      // ragged-edge write-back. The packed B panel is shared read-only
-      // across workers.
-      std::int64_t grain = std::max<std::int64_t>(
-          MR, (4 * kGemmDirectThreshold) / std::max<std::int64_t>(1, nc * kc));
-      grain = ((grain + MR - 1) / MR) * MR;
-      const float* bp = b_panel.data();
-      parallel_for_range(
-          0, static_cast<std::size_t>(m), static_cast<std::size_t>(grain),
-          [&](std::size_t lo, std::size_t hi) {
-            const std::int64_t chunk_rows = std::min(
-                kGemmMC, static_cast<std::int64_t>(hi - lo));
-            Workspace::Buffer a_panel = Workspace::local().take(
-                static_cast<std::size_t>(((chunk_rows + MR - 1) / MR) * kc *
-                                         MR));
-            for (std::int64_t ic = static_cast<std::int64_t>(lo);
-                 ic < static_cast<std::int64_t>(hi); ic += kGemmMC) {
-              const std::int64_t mc =
-                  std::min(kGemmMC, static_cast<std::int64_t>(hi) - ic);
-              pack_a(trans_a, a, lda, ic, pc, mc, kc, a_panel.data());
-              const std::int64_t m_panels = (mc + MR - 1) / MR;
-              for (std::int64_t pj = 0; pj < n_panels; ++pj) {
-                const int cols = static_cast<int>(
-                    std::min<std::int64_t>(NR, nc - pj * NR));
-                for (std::int64_t pi = 0; pi < m_panels; ++pi) {
-                  const int rows = static_cast<int>(
-                      std::min<std::int64_t>(MR, mc - pi * MR));
-                  micro_kernel(kc, a_panel.data() + pi * kc * MR,
-                               bp + pj * kc * NR,
-                               c + (ic + pi * MR) * ldc + jc + pj * NR, ldc,
-                               rows, cols);
-                }
-              }
-              if (last_kc_slice && !epilogue.empty()) {
-                // Fused write-back: the mc x nc block was just accumulated
-                // and is still hot in this worker's cache.
-                apply_epilogue(epilogue, c, ldc, ic, mc, jc, nc);
-              }
-            }
-          });
-    }
-  }
-}
-
-// --- bf16 skinny streaming path --------------------------------------------
-
-#if defined(__GNUC__) || defined(__clang__)
-
-typedef std::uint16_t v8u16 __attribute__((vector_size(16), aligned(2)));
-typedef std::uint32_t v8u32 __attribute__((vector_size(32), aligned(4)));
-
-// Widen 8 consecutive bf16 to a float vector (vpmovzxwd + vpslld).
-inline v8f widen8(const std::uint16_t* p) {
-  v8u16 h;
-  std::memcpy(&h, p, sizeof(h));
-  const v8u32 w = __builtin_convertvector(h, v8u32) << 16;
-  v8f f;
-  std::memcpy(&f, &w, sizeof(f));
-  return f;
-}
-
-// k-direction dot product of two bf16 rows, fp32 accumulation. Reductions
-// don't auto-vectorize without -ffast-math, so this is written with two
-// explicit 8-wide partial accumulators; the fold order is fixed, so results
-// are deterministic.
 #if defined(__AVX2__) && defined(__FMA__)
 
-inline float dot_bf16(const std::uint16_t* __restrict a,
-                      const std::uint16_t* __restrict b, std::int64_t k) {
-  // Widen by unpacking bf16 halfwords into the *high* 16 bits of each 32-bit
-  // lane against zeros — exactly the bf16 -> fp32 widening, one shuffle per
-  // 8 elements instead of a vpmovzxwd + vpslld pair. The unpack interleaves
-  // lanes, but a and b are permuted identically and every lane is summed, so
-  // the dot is unaffected. Four FMA chains hide the FMA latency.
-  const __m256i zero = _mm256_setzero_si256();
-  __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-  __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
-  std::int64_t p = 0;
-  for (; p + 32 <= k; p += 32) {
-    const __m256i av0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(a + p));
-    const __m256i bv0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b + p));
-    acc0 = _mm256_fmadd_ps(
-        _mm256_castsi256_ps(_mm256_unpacklo_epi16(zero, av0)),
-        _mm256_castsi256_ps(_mm256_unpacklo_epi16(zero, bv0)), acc0);
-    acc1 = _mm256_fmadd_ps(
-        _mm256_castsi256_ps(_mm256_unpackhi_epi16(zero, av0)),
-        _mm256_castsi256_ps(_mm256_unpackhi_epi16(zero, bv0)), acc1);
-    const __m256i av1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(a + p + 16));
-    const __m256i bv1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b + p + 16));
-    acc2 = _mm256_fmadd_ps(
-        _mm256_castsi256_ps(_mm256_unpacklo_epi16(zero, av1)),
-        _mm256_castsi256_ps(_mm256_unpacklo_epi16(zero, bv1)), acc2);
-    acc3 = _mm256_fmadd_ps(
-        _mm256_castsi256_ps(_mm256_unpackhi_epi16(zero, av1)),
-        _mm256_castsi256_ps(_mm256_unpackhi_epi16(zero, bv1)), acc3);
-  }
-  const __m256 accv = _mm256_add_ps(_mm256_add_ps(acc0, acc1),
-                                    _mm256_add_ps(acc2, acc3));
-  __m128 s = _mm_add_ps(_mm256_castps256_ps128(accv),
-                        _mm256_extractf128_ps(accv, 1));
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_movehdup_ps(s));
-  float acc = _mm_cvtss_f32(s);
-  for (; p < k; ++p) acc += to_f32(a[p]) * to_f32(b[p]);
-  return acc;
-}
-
-#else
-
-inline float dot_bf16(const std::uint16_t* __restrict a,
-                      const std::uint16_t* __restrict b, std::int64_t k) {
-  // Two explicit 8-wide chains; reductions don't auto-vectorize without
-  // -ffast-math.
-  v8f acc0{}, acc1{};
-  std::int64_t p = 0;
-  for (; p + 16 <= k; p += 16) {
-    acc0 += widen8(a + p) * widen8(b + p);
-    acc1 += widen8(a + p + 8) * widen8(b + p + 8);
-  }
-  const v8f vs = acc0 + acc1;
-  float acc = ((vs[0] + vs[4]) + (vs[1] + vs[5])) +
-              ((vs[2] + vs[6]) + (vs[3] + vs[7]));
-  for (; p < k; ++p) acc += to_f32(a[p]) * to_f32(b[p]);
-  return acc;
-}
-
-#endif
-
-#else
-
-inline float dot_bf16(const std::uint16_t* __restrict a,
-                      const std::uint16_t* __restrict b, std::int64_t k) {
-  float acc = 0.0f;
-  for (std::int64_t p = 0; p < k; ++p) acc += to_f32(a[p]) * to_f32(b[p]);
-  return acc;
-}
-
-#endif
-
-// Skinny-m bf16 GEMM: stream op(B) in bf16 exactly once, widening on load —
-// no packed panel is written or re-read, which is where the ~2x over fp32
-// comes from on bandwidth-bound decode shapes. Workers own disjoint column
-// ranges, so each C element is produced by exactly one worker in a fixed
-// order: bit-identical across thread counts.
-void gemm_bf16_skinny(bool trans_b, std::int64_t m, std::int64_t n,
-                      std::int64_t k, const std::uint16_t* a, std::int64_t lda,
-                      const std::uint16_t* b, std::int64_t ldb, float* c,
-                      std::int64_t ldc, const GemmEpilogue& epilogue) {
-  // Column chunks: at least ~256K multiply-adds per task, and at least a few
-  // cache lines wide so adjacent workers don't split lines of B rows.
-  std::int64_t grain = std::max<std::int64_t>(
-      32, (4 * kGemmDirectThreshold) / std::max<std::int64_t>(1, m * k));
-  grain = ((grain + 31) / 32) * 32;
-  parallel_for_range(
-      0, static_cast<std::size_t>(n), static_cast<std::size_t>(grain),
-      [&](std::size_t lo_s, std::size_t hi_s) {
-        const std::int64_t lo = static_cast<std::int64_t>(lo_s);
-        const std::int64_t hi = static_cast<std::int64_t>(hi_s);
-        if (!trans_b) {
-          for (std::int64_t p = 0; p < k; ++p) {
-            const std::uint16_t* __restrict b_row = b + p * ldb;
-            for (std::int64_t i = 0; i < m; ++i) {
-              const float a_val = to_f32(a[i * lda + p]);
-              float* __restrict c_row = c + i * ldc;
-              for (std::int64_t j = lo; j < hi; ++j)
-                c_row[j] += a_val * to_f32(b_row[j]);
-            }
-          }
-        } else {
-          // op(B) row j is B[j, :]: one contiguous k-dot per output. A is at
-          // most kGemmSkinnyRows rows and stays cache-hot across all j.
-          for (std::int64_t j = lo; j < hi; ++j) {
-            const std::uint16_t* __restrict b_row = b + j * ldb;
-            for (std::int64_t i = 0; i < m; ++i)
-              c[i * ldc + j] += dot_bf16(a + i * lda, b_row, k);
-          }
-        }
-        if (!epilogue.empty())
-          apply_epilogue(epilogue, c, ldc, 0, m, lo, hi - lo);
-      });
-}
-
-// --- int8 path --------------------------------------------------------------
-//
-// Same MC/KC/NC blocking as the fp32/bf16 driver, but panels are packed as
-// int16 with consecutive-k *pairs* interleaved per column/row: element
-// (p, j) lands at [p/2][j][p%2]. That is exactly the operand shape of
-// AVX2's pmaddwd (_mm256_madd_epi16), which multiplies 16 int16 lanes and
-// adds adjacent products into 8 int32 lanes — two k-steps per instruction
-// with exact int32 accumulation (int8 products are <= 127^2, so a pair sum
-// can never overflow, let alone saturate). The int32 tile accumulates over
-// one KC slice, then dequantizes into fp32 C as
-// (float(acc) * scale_a) * scale_b[j]; accumulation across KC slices is
-// fp32, mirroring the other paths.
-
-// Pack op(B)[pc:pc+kc, j0:j0+nc] as int16 pair panels of NR columns (panel
-// stride kc2*NR*2 int16s, kc2 = ceil(kc/2)); ragged columns and the odd
-// k-tail are zero-padded.
-void pack_b_i8(bool trans_b, const std::int8_t* b, std::int64_t ldb,
-               std::int64_t pc, std::int64_t j0, std::int64_t kc,
-               std::int64_t nc, std::int16_t* bp) {
-  const std::int64_t kc2 = (kc + 1) / 2;
-  const std::int64_t panels = (nc + NR - 1) / NR;
-  for (std::int64_t pj = 0; pj < panels; ++pj) {
-    const std::int64_t jc = j0 + pj * NR;
-    const int cols = static_cast<int>(std::min<std::int64_t>(NR, j0 + nc - jc));
-    std::int16_t* __restrict dst = bp + pj * kc2 * NR * 2;
-    if (cols < NR || (kc & 1) != 0)
-      std::memset(dst, 0, sizeof(std::int16_t) * kc2 * NR * 2);
-    if (!trans_b) {
-      for (std::int64_t p = 0; p < kc; ++p) {
-        const std::int8_t* __restrict src = b + (pc + p) * ldb + jc;
-        std::int16_t* __restrict row = dst + (p / 2) * NR * 2 + (p & 1);
-        for (int jj = 0; jj < cols; ++jj) row[jj * 2] = src[jj];
-      }
-    } else {
-      for (int jj = 0; jj < cols; ++jj) {
-        const std::int8_t* __restrict src = b + (jc + jj) * ldb + pc;
-        for (std::int64_t p = 0; p < kc; ++p)
-          dst[(p / 2) * NR * 2 + jj * 2 + (p & 1)] = src[p];
-      }
-    }
-  }
-}
-
-// Pack A[i0:i0+mc, pc:pc+kc] (never transposed) as int16 pair panels of MR
-// rows (panel stride kc2*MR*2 int16s).
-void pack_a_i8(const std::int8_t* a, std::int64_t lda, std::int64_t i0,
-               std::int64_t pc, std::int64_t mc, std::int64_t kc,
-               std::int16_t* ap) {
-  const std::int64_t kc2 = (kc + 1) / 2;
-  const std::int64_t panels = (mc + MR - 1) / MR;
-  for (std::int64_t pi = 0; pi < panels; ++pi) {
-    const std::int64_t ic = i0 + pi * MR;
-    const int rows = static_cast<int>(std::min<std::int64_t>(MR, i0 + mc - ic));
-    std::int16_t* __restrict dst = ap + pi * kc2 * MR * 2;
-    if (rows < MR || (kc & 1) != 0)
-      std::memset(dst, 0, sizeof(std::int16_t) * kc2 * MR * 2);
-    for (int ii = 0; ii < rows; ++ii) {
-      const std::int8_t* __restrict src = a + (ic + ii) * lda + pc;
-      for (std::int64_t p = 0; p < kc; ++p)
-        dst[(p / 2) * MR * 2 + ii * 2 + (p & 1)] = src[p];
-    }
-  }
-}
-
-#if defined(__AVX2__)
-
-// MR x NR rank-kc int8 update with fused dequant. Accumulators are named
-// (same scalar-replacement constraint as the fp32 kernel); each pmaddwd
-// retires two k-steps for all 8 columns of one half-tile.
+// MR x NR rank-kc int8 update with fused dequant, over int16 pair panels:
+// element (p, j) sits at [p/2][j][p%2], exactly the operand shape of AVX2's
+// pmaddwd (_mm256_madd_epi16), which multiplies 16 int16 lanes and adds
+// adjacent products into 8 int32 lanes — two k-steps per instruction with
+// exact int32 accumulation (int8 products are <= 127^2, so a pair sum can
+// never overflow, let alone saturate). Accumulators are named (same
+// scalar-replacement constraint as the fp32 kernel).
 void micro_kernel_i8(std::int64_t kc2, const std::int16_t* __restrict ap,
                      const std::int16_t* __restrict bp, float* __restrict c,
                      std::int64_t ldc, int rows, int cols, float scale_a,
@@ -637,35 +231,53 @@ void micro_kernel_i8(std::int64_t kc2, const std::int16_t* __restrict ap,
   }
 }
 
-#else  // portable fallback over the same packed-pair layout
-
-void micro_kernel_i8(std::int64_t kc2, const std::int16_t* __restrict ap,
-                     const std::int16_t* __restrict bp, float* __restrict c,
-                     std::int64_t ldc, int rows, int cols, float scale_a,
-                     const float* __restrict scale_b) {
-  std::int32_t acc[MR * NR] = {};
-  for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
-    const std::int16_t* __restrict a_col = ap + p2 * MR * 2;
-    const std::int16_t* __restrict b_row = bp + p2 * NR * 2;
-    for (int i = 0; i < MR; ++i) {
-      const std::int32_t a0 = a_col[i * 2];
-      const std::int32_t a1 = a_col[i * 2 + 1];
-      std::int32_t* __restrict acc_row = acc + i * NR;
-      for (int j = 0; j < NR; ++j)
-        acc_row[j] += a0 * b_row[j * 2] + a1 * b_row[j * 2 + 1];
-    }
-  }
-  for (int i = 0; i < rows; ++i) {
-    float* __restrict c_row = c + i * ldc;
-    const std::int32_t* __restrict acc_row = acc + i * NR;
-    for (int j = 0; j < cols; ++j)
-      c_row[j] += (static_cast<float>(acc_row[j]) * scale_a) * scale_b[j];
-  }
+// k-direction dot of two fp32 or bf16 rows, fp32 accumulation. Reductions
+// don't auto-vectorize without -ffast-math, so this is written with four
+// explicit FMA chains (hiding the FMA latency) and a fixed fold order, so
+// results are deterministic. load16 turns 16 stored elements into two fp32
+// vectors. bf16 widens by unpacking halfwords into the *high* 16 bits of
+// each 32-bit lane against zeros — one shuffle per 8 elements instead of a
+// vpmovzxwd + vpslld pair. The unpack interleaves lanes ({0-3, 8-11} and
+// {4-7, 12-15}), but a and b are permuted identically and every lane is
+// summed, so the dot is unaffected; only its fold order differs from fp32's
+// memory-order lanes (matching it would cost fp32 a third of its speed).
+inline void load16(const std::uint16_t* p, __m256& lo, __m256& hi) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  lo = _mm256_castsi256_ps(_mm256_unpacklo_epi16(zero, v));
+  hi = _mm256_castsi256_ps(_mm256_unpackhi_epi16(zero, v));
+}
+inline void load16(const float* p, __m256& lo, __m256& hi) {
+  lo = _mm256_loadu_ps(p);
+  hi = _mm256_loadu_ps(p + 8);
 }
 
-#endif
-
-#if defined(__AVX2__)
+template <typename T>
+float dot_f32(const T* __restrict a, const T* __restrict b, std::int64_t k) {
+  __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+  __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
+  __m256 alo, ahi, blo, bhi;
+  std::int64_t p = 0;
+  for (; p + 32 <= k; p += 32) {
+    load16(a + p, alo, ahi);
+    load16(b + p, blo, bhi);
+    acc0 = _mm256_fmadd_ps(alo, blo, acc0);
+    acc1 = _mm256_fmadd_ps(ahi, bhi, acc1);
+    load16(a + p + 16, alo, ahi);
+    load16(b + p + 16, blo, bhi);
+    acc2 = _mm256_fmadd_ps(alo, blo, acc2);
+    acc3 = _mm256_fmadd_ps(ahi, bhi, acc3);
+  }
+  const __m256 accv = _mm256_add_ps(_mm256_add_ps(acc0, acc1),
+                                    _mm256_add_ps(acc2, acc3));
+  __m128 s = _mm_add_ps(_mm256_castps256_ps128(accv),
+                        _mm256_extractf128_ps(accv, 1));
+  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  s = _mm_add_ss(s, _mm_movehdup_ps(s));
+  float acc = _mm_cvtss_f32(s);
+  for (; p < k; ++p) acc += to_f32(a[p]) * to_f32(b[p]);
+  return acc;
+}
 
 // k-direction int8 dot with exact int32 accumulation: sign-extend 16 int8 to
 // int16 (vpmovsxbw) and pmaddwd them — 16 multiply-adds per instruction,
@@ -699,7 +311,38 @@ inline std::int32_t dot_i8(const std::int8_t* __restrict a,
   return acc;
 }
 
-#else
+#else  // portable fallbacks over the same packed-pair layout
+
+void micro_kernel_i8(std::int64_t kc2, const std::int16_t* __restrict ap,
+                     const std::int16_t* __restrict bp, float* __restrict c,
+                     std::int64_t ldc, int rows, int cols, float scale_a,
+                     const float* __restrict scale_b) {
+  std::int32_t acc[MR * NR] = {};
+  for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
+    const std::int16_t* __restrict a_col = ap + p2 * MR * 2;
+    const std::int16_t* __restrict b_row = bp + p2 * NR * 2;
+    for (int i = 0; i < MR; ++i) {
+      const std::int32_t a0 = a_col[i * 2];
+      const std::int32_t a1 = a_col[i * 2 + 1];
+      std::int32_t* __restrict acc_row = acc + i * NR;
+      for (int j = 0; j < NR; ++j)
+        acc_row[j] += a0 * b_row[j * 2] + a1 * b_row[j * 2 + 1];
+    }
+  }
+  for (int i = 0; i < rows; ++i) {
+    float* __restrict c_row = c + i * ldc;
+    const std::int32_t* __restrict acc_row = acc + i * NR;
+    for (int j = 0; j < cols; ++j)
+      c_row[j] += (static_cast<float>(acc_row[j]) * scale_a) * scale_b[j];
+  }
+}
+
+template <typename T>
+float dot_f32(const T* __restrict a, const T* __restrict b, std::int64_t k) {
+  float acc = 0.0f;
+  for (std::int64_t p = 0; p < k; ++p) acc += to_f32(a[p]) * to_f32(b[p]);
+  return acc;
+}
 
 inline std::int32_t dot_i8(const std::int8_t* __restrict a,
                            const std::int8_t* __restrict b, std::int64_t k) {
@@ -711,138 +354,345 @@ inline std::int32_t dot_i8(const std::int8_t* __restrict a,
 
 #endif
 
-// Direct int8 path for matrices under the packing threshold. The int32
-// accumulation spans all of k in one go — exact as long as
-// k * 127^2 < 2^31, which the threshold guarantees.
-void gemm_i8_direct(bool trans_b, std::int64_t m, std::int64_t n,
-                    std::int64_t k, const std::int8_t* __restrict a,
-                    std::int64_t lda, const std::int8_t* __restrict b,
-                    std::int64_t ldb, float scale_a,
-                    const float* __restrict scale_b, float* __restrict c,
-                    std::int64_t ldc) {
-  if (trans_b) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      float* __restrict c_row = c + i * ldc;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const std::int32_t acc = dot_i8(a + i * lda, b + j * ldb, k);
-        c_row[j] += (static_cast<float>(acc) * scale_a) * scale_b[j];
+// What differs between storage types; the driver below is written once over
+// these. fp32 and bf16 widen to fp32 panels (k-step 1) and accumulate in
+// place in C. int8 packs int16 pair panels (k-step 2, element (p, j) at
+// [p/2][j][p%2]) and accumulates exactly in int32, then dequantizes into C
+// as (float(acc) * scale_a) * scale_b[j].
+template <typename T>
+struct GemmTraits {
+  using Acc = float;
+  using Packed = float;
+  static constexpr int kKP = 1;
+  static constexpr std::int64_t kSkinnyMaxK =
+      std::numeric_limits<std::int64_t>::max();
+  static float widen(T x) { return to_f32(x); }
+  static float dot(const T* a, const T* b, std::int64_t k) {
+    return dot_f32(a, b, k);
+  }
+  static void kernel(std::int64_t kc, const float* ap, const float* bp,
+                     float* c, std::int64_t ldc, int rows, int cols,
+                     const Scales& /*scales*/, std::int64_t /*col0*/) {
+    micro_kernel(kc, ap, bp, c, ldc, rows, cols);
+  }
+};
+
+template <>
+struct GemmTraits<std::int8_t> {
+  using Acc = std::int32_t;
+  using Packed = std::int16_t;
+  static constexpr int kKP = 2;
+  // The skinny path accumulates int32 over all of k; cap it where
+  // k * 127^2 nears 2^31 (the blocked path slices at KC and has no limit).
+  static constexpr std::int64_t kSkinnyMaxK = std::int64_t{1} << 17;
+  static std::int32_t widen(std::int8_t x) { return x; }
+  static std::int32_t dot(const std::int8_t* a, const std::int8_t* b,
+                          std::int64_t k) {
+    return dot_i8(a, b, k);
+  }
+  static void kernel(std::int64_t kc2, const std::int16_t* ap,
+                     const std::int16_t* bp, float* c, std::int64_t ldc,
+                     int rows, int cols, const Scales& scales,
+                     std::int64_t col0) {
+    micro_kernel_i8(kc2, ap, bp, c, ldc, rows, cols, scales.a,
+                    scales.b + col0);
+  }
+};
+
+// Accumulator for C rows [0, rows) x columns [col0, col0 + width). A float
+// accumulator is C itself, so every element sums as C + a0*b0 + a1*b1 + ...;
+// an int32 one is a zeroed workspace block that finish() dequantizes into C.
+template <typename Acc>
+class AccBlock {
+ public:
+  static constexpr bool kInPlace = std::is_same_v<Acc, float>;
+
+  AccBlock(float* c, std::int64_t ldc, std::int64_t rows, std::int64_t col0,
+           std::int64_t width, const Scales& scales)
+      : c_(c + col0), ldc_(ldc), rows_(rows), width_(width), scales_(scales) {
+    if constexpr (!kInPlace) {
+      static_assert(sizeof(Acc) == sizeof(float));
+      buf_ = Workspace::local().take(static_cast<std::size_t>(rows * width));
+      std::memset(buf_.data(), 0, sizeof(Acc) * rows * width);
+      scales_.b += col0;
+    }
+  }
+
+  Acc* row(std::int64_t i) {
+    if constexpr (kInPlace) {
+      return c_ + i * ldc_;
+    } else {
+      return reinterpret_cast<Acc*>(buf_.data()) + i * width_;
+    }
+  }
+
+  void finish() {
+    if constexpr (!kInPlace) {
+      for (std::int64_t i = 0; i < rows_; ++i) {
+        float* __restrict c_row = c_ + i * ldc_;
+        const Acc* __restrict acc_row = row(i);
+        for (std::int64_t j = 0; j < width_; ++j)
+          c_row[j] += (static_cast<float>(acc_row[j]) * scales_.a) *
+                      scales_.b[j];
       }
     }
-  } else {
-    Workspace::Buffer buf =
-        Workspace::local().take(static_cast<std::size_t>(n));
-    std::int32_t* __restrict acc = reinterpret_cast<std::int32_t*>(buf.data());
-    for (std::int64_t i = 0; i < m; ++i) {
-      std::memset(acc, 0, sizeof(std::int32_t) * n);
-      const std::int8_t* __restrict a_row = a + i * lda;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const std::int32_t a_val = a_row[p];
-        const std::int8_t* __restrict b_row = b + p * ldb;
-        for (std::int64_t j = 0; j < n; ++j)
-          acc[j] += a_val * static_cast<std::int32_t>(b_row[j]);
+  }
+
+ private:
+  float* c_;
+  std::int64_t ldc_, rows_, width_;
+  Scales scales_;
+  Workspace::Buffer buf_;
+};
+
+// Pack op(B)[pc:pc+kc, j0:j0+nc] into ceil(nc/NR) panels of NR columns,
+// widening to the packed type once here so the micro-kernels need no storage
+// awareness. Element (p, j) lands at [p/KP][j][p%KP] (panel stride
+// ceil(kc/KP)*NR*KP); ragged columns and the k-tail are zero-padded.
+template <typename T, typename P = typename GemmTraits<T>::Packed>
+void pack_b(bool trans_b, const T* b, std::int64_t ldb, std::int64_t pc,
+            std::int64_t j0, std::int64_t kc, std::int64_t nc, P* bp) {
+  constexpr int KP = GemmTraits<T>::kKP;
+  const std::int64_t kcp = (kc + KP - 1) / KP;
+  const std::int64_t panels = (nc + NR - 1) / NR;
+  for (std::int64_t pj = 0; pj < panels; ++pj) {
+    const std::int64_t jc = j0 + pj * NR;
+    const int cols = static_cast<int>(std::min<std::int64_t>(NR, j0 + nc - jc));
+    P* __restrict dst = bp + pj * kcp * NR * KP;
+    if (cols < NR || kc % KP != 0)
+      std::memset(dst, 0, sizeof(P) * kcp * NR * KP);
+    if (!trans_b) {
+      for (std::int64_t p = 0; p < kc; ++p) {
+        const T* __restrict src = b + (pc + p) * ldb + jc;
+        P* __restrict row = dst + (p / KP) * NR * KP + p % KP;
+        for (int jj = 0; jj < cols; ++jj)
+          row[jj * KP] = static_cast<P>(GemmTraits<T>::widen(src[jj]));
       }
-      float* __restrict c_row = c + i * ldc;
-      for (std::int64_t j = 0; j < n; ++j)
-        c_row[j] += (static_cast<float>(acc[j]) * scale_a) * scale_b[j];
+    } else {
+      // op(B)(p, j) = B[j, p]: one strided column write per source row.
+      for (int jj = 0; jj < cols; ++jj) {
+        const T* __restrict src = b + (jc + jj) * ldb + pc;
+        for (std::int64_t p = 0; p < kc; ++p)
+          dst[(p / KP) * NR * KP + jj * KP + p % KP] =
+              static_cast<P>(GemmTraits<T>::widen(src[p]));
+      }
     }
   }
 }
 
-// Skinny-m int8 GEMM: stream op(B) once at 1 byte/element (see the bf16
-// skinny path for the traffic argument and determinism invariant). Exact
-// int32 accumulation over all of k; the caller bounds k so it cannot
-// overflow.
-void gemm_i8_skinny(bool trans_b, std::int64_t m, std::int64_t n,
-                    std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                    const std::int8_t* b, std::int64_t ldb, float scale_a,
-                    const float* scale_b, float* c, std::int64_t ldc,
-                    const GemmEpilogue& epilogue) {
+// Pack op(A)[i0:i0+mc, pc:pc+kc] into ceil(mc/MR) panels of MR rows, in the
+// same [p/KP][i][p%KP] layout (panel stride ceil(kc/KP)*MR*KP).
+template <typename T, typename P = typename GemmTraits<T>::Packed>
+void pack_a(bool trans_a, const T* a, std::int64_t lda, std::int64_t i0,
+            std::int64_t pc, std::int64_t mc, std::int64_t kc, P* ap) {
+  constexpr int KP = GemmTraits<T>::kKP;
+  const std::int64_t kcp = (kc + KP - 1) / KP;
+  const std::int64_t panels = (mc + MR - 1) / MR;
+  for (std::int64_t pi = 0; pi < panels; ++pi) {
+    const std::int64_t ic = i0 + pi * MR;
+    const int rows = static_cast<int>(std::min<std::int64_t>(MR, i0 + mc - ic));
+    P* __restrict dst = ap + pi * kcp * MR * KP;
+    if (rows < MR || kc % KP != 0)
+      std::memset(dst, 0, sizeof(P) * kcp * MR * KP);
+    if (!trans_a) {
+      for (int ii = 0; ii < rows; ++ii) {
+        const T* __restrict src = a + (ic + ii) * lda + pc;
+        for (std::int64_t p = 0; p < kc; ++p)
+          dst[(p / KP) * MR * KP + ii * KP + p % KP] =
+              static_cast<P>(GemmTraits<T>::widen(src[p]));
+      }
+    } else {
+      // op(A)(i, p) = A[p, i]: contiguous row reads.
+      for (std::int64_t p = 0; p < kc; ++p) {
+        const T* __restrict src = a + (pc + p) * lda + ic;
+        P* __restrict col = dst + (p / KP) * MR * KP + p % KP;
+        for (int ii = 0; ii < rows; ++ii)
+          col[ii * KP] = static_cast<P>(GemmTraits<T>::widen(src[ii]));
+      }
+    }
+  }
+}
+
+// Direct register-accumulating loops for matrices too small to amortize
+// packing. Never skips zero operands: 0 * NaN must stay NaN. An int32
+// accumulation over all of k is exact: the threshold bounds k * 127^2 far
+// below 2^31.
+template <typename T>
+void gemm_direct(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                 std::int64_t k, const T* __restrict a, std::int64_t lda,
+                 const T* __restrict b, std::int64_t ldb, const Scales& scales,
+                 float* c, std::int64_t ldc) {
+  using Tr = GemmTraits<T>;
+  using Acc = typename Tr::Acc;
+  AccBlock<Acc> acc(c, ldc, m, 0, n, scales);
+  if (!trans_a && !trans_b) {
+    for (std::int64_t i = 0; i < m; ++i) {
+      const T* __restrict a_row = a + i * lda;
+      Acc* __restrict acc_row = acc.row(i);
+      for (std::int64_t p = 0; p < k; ++p) {
+        const Acc a_val = Tr::widen(a_row[p]);
+        const T* __restrict b_row = b + p * ldb;
+        for (std::int64_t j = 0; j < n; ++j)
+          acc_row[j] += a_val * Tr::widen(b_row[j]);
+      }
+    }
+  } else if (!trans_a && trans_b) {
+    for (std::int64_t i = 0; i < m; ++i) {
+      const T* __restrict a_row = a + i * lda;
+      Acc* __restrict acc_row = acc.row(i);
+      for (std::int64_t j = 0; j < n; ++j) {
+        const T* __restrict b_row = b + j * ldb;
+        Acc sum = 0;
+        for (std::int64_t p = 0; p < k; ++p)
+          sum += Tr::widen(a_row[p]) * Tr::widen(b_row[p]);
+        acc_row[j] += sum;
+      }
+    }
+  } else {
+    for (std::int64_t p = 0; p < k; ++p) {
+      const T* __restrict a_row = a + p * lda;
+      const T* __restrict b_row = b + p * ldb;
+      for (std::int64_t i = 0; i < m; ++i) {
+        const Acc a_val = Tr::widen(a_row[i]);
+        Acc* __restrict acc_row = acc.row(i);
+        for (std::int64_t j = 0; j < n; ++j)
+          acc_row[j] += a_val * Tr::widen(b_row[j]);
+      }
+    }
+  }
+  acc.finish();
+}
+
+// Apply the epilogue to the C block rows [row0, row0+rows) x cols
+// [col0, col0+cols). Indices are absolute so bias/mask/pre line up with the
+// full output. Each stage is its own branch-free pass over the row segment
+// (in GemmEpilogue's order), so every pass vectorizes — the GELU pass
+// included — and each element sees the same operations as a fused loop.
+void apply_epilogue(const GemmEpilogue& ep, float* c, std::int64_t ldc,
+                    std::int64_t row0, std::int64_t rows, std::int64_t col0,
+                    std::int64_t cols) {
+  const float* __restrict bias = ep.bias != nullptr ? ep.bias + col0 : nullptr;
+  for (std::int64_t i = row0; i < row0 + rows; ++i) {
+    float* __restrict c_row = c + i * ldc + col0;
+    if (bias != nullptr) {
+      for (std::int64_t j = 0; j < cols; ++j) c_row[j] += bias[j];
+    }
+    if (ep.pre_activation != nullptr) {
+      std::memcpy(ep.pre_activation + i * ldc + col0, c_row,
+                  static_cast<std::size_t>(cols) * sizeof(float));
+    }
+    if (ep.gelu) {
+      for (std::int64_t j = 0; j < cols; ++j) c_row[j] = gelu_scalar(c_row[j]);
+    }
+    if (ep.dropout_mask != nullptr) {
+      const float* __restrict mask = ep.dropout_mask + i * ldc + col0;
+      for (std::int64_t j = 0; j < cols; ++j) c_row[j] *= mask[j];
+    }
+  }
+}
+
+// Skinny-m GEMM: stream op(B) in its storage type exactly once, widening on
+// load — no packed panel is written or re-read, which halves the traffic of
+// bandwidth-bound decode shapes. Workers own disjoint column ranges at least
+// one 64-byte line of B wide, so each C element is produced by exactly one
+// worker in a fixed order: bit-identical across thread counts.
+template <typename T>
+void gemm_skinny(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
+                 const T* a, std::int64_t lda, const T* b, std::int64_t ldb,
+                 const Scales& scales, float* c, std::int64_t ldc,
+                 const GemmEpilogue& epilogue) {
+  using Tr = GemmTraits<T>;
+  using Acc = typename Tr::Acc;
+  constexpr std::int64_t kLine = 64 / sizeof(T);
+  // Column chunks of at least ~256K multiply-adds per task.
   std::int64_t grain = std::max<std::int64_t>(
-      64, (4 * kGemmDirectThreshold) / std::max<std::int64_t>(1, m * k));
-  grain = ((grain + 63) / 64) * 64;
+      kLine, (4 * kGemmDirectThreshold) / std::max<std::int64_t>(1, m * k));
+  grain = ((grain + kLine - 1) / kLine) * kLine;
   parallel_for_range(
       0, static_cast<std::size_t>(n), static_cast<std::size_t>(grain),
       [&](std::size_t lo_s, std::size_t hi_s) {
         const std::int64_t lo = static_cast<std::int64_t>(lo_s);
-        const std::int64_t hi = static_cast<std::int64_t>(hi_s);
+        const std::int64_t width = static_cast<std::int64_t>(hi_s) - lo;
+        AccBlock<Acc> acc(c, ldc, m, lo, width, scales);
         if (!trans_b) {
-          const std::int64_t width = hi - lo;
-          Workspace::Buffer buf = Workspace::local().take(
-              static_cast<std::size_t>(m * width));
-          std::int32_t* __restrict acc =
-              reinterpret_cast<std::int32_t*>(buf.data());
-          std::memset(acc, 0, sizeof(std::int32_t) * m * width);
           for (std::int64_t p = 0; p < k; ++p) {
-            const std::int8_t* __restrict b_row = b + p * ldb;
+            const T* __restrict b_row = b + p * ldb + lo;
             for (std::int64_t i = 0; i < m; ++i) {
-              const std::int32_t a_val = a[i * lda + p];
-              std::int32_t* __restrict acc_row = acc + i * width;
-              for (std::int64_t j = lo; j < hi; ++j)
-                acc_row[j - lo] += a_val * static_cast<std::int32_t>(b_row[j]);
+              const Acc a_val = Tr::widen(a[i * lda + p]);
+              Acc* __restrict acc_row = acc.row(i);
+              for (std::int64_t j = 0; j < width; ++j)
+                acc_row[j] += a_val * Tr::widen(b_row[j]);
             }
-          }
-          for (std::int64_t i = 0; i < m; ++i) {
-            float* __restrict c_row = c + i * ldc;
-            const std::int32_t* __restrict acc_row = acc + i * width;
-            for (std::int64_t j = lo; j < hi; ++j)
-              c_row[j] += (static_cast<float>(acc_row[j - lo]) * scale_a) *
-                          scale_b[j];
           }
         } else {
-          for (std::int64_t j = lo; j < hi; ++j) {
-            const std::int8_t* __restrict b_row = b + j * ldb;
-            for (std::int64_t i = 0; i < m; ++i) {
-              const std::int32_t acc = dot_i8(a + i * lda, b_row, k);
-              c[i * ldc + j] +=
-                  (static_cast<float>(acc) * scale_a) * scale_b[j];
-            }
+          // op(B) row j is B[j, :]: one contiguous k-dot per output. A is at
+          // most kGemmSkinnyRows rows and stays cache-hot across all j.
+          for (std::int64_t j = 0; j < width; ++j) {
+            const T* __restrict b_row = b + (lo + j) * ldb;
+            for (std::int64_t i = 0; i < m; ++i)
+              acc.row(i)[j] += Tr::dot(a + i * lda, b_row, k);
           }
         }
+        acc.finish();
         if (!epilogue.empty())
-          apply_epilogue(epilogue, c, ldc, 0, m, lo, hi - lo);
+          apply_epilogue(epilogue, c, ldc, 0, m, lo, width);
       });
 }
 
-// Blocked int8 driver: the gemm_impl loop structure with int16 pair panels
-// and the pmaddwd micro-kernel. Dequant happens per KC slice inside the
-// micro-kernel; the epilogue fires once after the last slice, cache-hot.
-void gemm_i8_packed(bool trans_b, std::int64_t m, std::int64_t n,
-                    std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                    const std::int8_t* b, std::int64_t ldb, float scale_a,
-                    const float* scale_b, float* c, std::int64_t ldc,
-                    const GemmEpilogue& epilogue) {
+// The three-level blocked driver (see the header comment). Panels hold
+// GemmTraits<T>::Packed elements in the float workspace slabs; an int8
+// micro-kernel dequantizes each KC slice, so accumulation across slices is
+// fp32 for every storage type.
+template <typename T>
+void gemm_packed(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                 std::int64_t k, const T* a, std::int64_t lda, const T* b,
+                 std::int64_t ldb, const Scales& scales, float* c,
+                 std::int64_t ldc, const GemmEpilogue& epilogue) {
+  using Tr = GemmTraits<T>;
+  using P = typename Tr::Packed;
+  constexpr int KP = Tr::kKP;
+  // Workspace floats holding `panels` zero-padded panels of `width` lanes.
+  const auto slab = [](std::int64_t panels, std::int64_t width,
+                       std::int64_t kcp) {
+    return static_cast<std::size_t>(panels * width * kcp * KP * sizeof(P) /
+                                    sizeof(float));
+  };
   for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
     const std::int64_t kc = std::min(kGemmKC, k - pc);
-    const std::int64_t kc2 = (kc + 1) / 2;
+    const std::int64_t kcp = (kc + KP - 1) / KP;
+    // The epilogue fires once per C element, after its final accumulation.
     const bool last_kc_slice = pc + kc == k;
     for (std::int64_t jc = 0; jc < n; jc += kGemmNC) {
       const std::int64_t nc = std::min(kGemmNC, n - jc);
       const std::int64_t n_panels = (nc + NR - 1) / NR;
-      // int16 panels live in the float workspace slabs: 2 int16 per float.
-      Workspace::Buffer b_panel = Workspace::local().take(
-          static_cast<std::size_t>(n_panels * kc2 * NR));
-      std::int16_t* bp16 = reinterpret_cast<std::int16_t*>(b_panel.data());
-      pack_b_i8(trans_b, b, ldb, pc, jc, kc, nc, bp16);
+      Workspace::Buffer b_panel =
+          Workspace::local().take(slab(n_panels, NR, kcp));
+      P* b_packed = reinterpret_cast<P*>(b_panel.data());
+      pack_b(trans_b, b, ldb, pc, jc, kc, nc, b_packed);
 
+      // Chunk rows so each task runs at least ~256K multiply-adds. The grain
+      // is rounded up to a multiple of MR so chunk boundaries (which
+      // parallel_for_range keeps grain-aligned) never split a micro-panel:
+      // a mid-panel boundary would push interior tiles down the scalar
+      // ragged-edge write-back. The packed B panel is shared read-only
+      // across workers.
       std::int64_t grain = std::max<std::int64_t>(
           MR, (4 * kGemmDirectThreshold) / std::max<std::int64_t>(1, nc * kc));
       grain = ((grain + MR - 1) / MR) * MR;
-      const std::int16_t* bp = bp16;
+      const P* bp = b_packed;
       parallel_for_range(
           0, static_cast<std::size_t>(m), static_cast<std::size_t>(grain),
           [&](std::size_t lo, std::size_t hi) {
-            const std::int64_t chunk_rows =
-                std::min(kGemmMC, static_cast<std::int64_t>(hi - lo));
+            const std::int64_t chunk_rows = std::min(
+                kGemmMC, static_cast<std::int64_t>(hi - lo));
             Workspace::Buffer a_panel = Workspace::local().take(
-                static_cast<std::size_t>(((chunk_rows + MR - 1) / MR) * kc2 *
-                                         MR));
-            std::int16_t* ap16 =
-                reinterpret_cast<std::int16_t*>(a_panel.data());
+                slab((chunk_rows + MR - 1) / MR, MR, kcp));
+            P* ap = reinterpret_cast<P*>(a_panel.data());
             for (std::int64_t ic = static_cast<std::int64_t>(lo);
                  ic < static_cast<std::int64_t>(hi); ic += kGemmMC) {
               const std::int64_t mc =
                   std::min(kGemmMC, static_cast<std::int64_t>(hi) - ic);
-              pack_a_i8(a, lda, ic, pc, mc, kc, ap16);
+              pack_a(trans_a, a, lda, ic, pc, mc, kc, ap);
               const std::int64_t m_panels = (mc + MR - 1) / MR;
               for (std::int64_t pj = 0; pj < n_panels; ++pj) {
                 const int cols = static_cast<int>(
@@ -850,18 +700,46 @@ void gemm_i8_packed(bool trans_b, std::int64_t m, std::int64_t n,
                 for (std::int64_t pi = 0; pi < m_panels; ++pi) {
                   const int rows = static_cast<int>(
                       std::min<std::int64_t>(MR, mc - pi * MR));
-                  micro_kernel_i8(kc2, ap16 + pi * kc2 * MR * 2,
-                                  bp + pj * kc2 * NR * 2,
-                                  c + (ic + pi * MR) * ldc + jc + pj * NR, ldc,
-                                  rows, cols, scale_a,
-                                  scale_b + jc + pj * NR);
+                  Tr::kernel(kcp, ap + pi * kcp * MR * KP,
+                             bp + pj * kcp * NR * KP,
+                             c + (ic + pi * MR) * ldc + jc + pj * NR, ldc,
+                             rows, cols, scales, jc + pj * NR);
                 }
               }
-              if (last_kc_slice && !epilogue.empty())
+              if (last_kc_slice && !epilogue.empty()) {
+                // Fused write-back: the mc x nc block was just accumulated
+                // and is still hot in this worker's cache.
                 apply_epilogue(epilogue, c, ldc, ic, mc, jc, nc);
+              }
             }
           });
     }
+  }
+}
+
+// The one shape dispatch every storage type goes through.
+template <typename T>
+void gemm_dispatch(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                   std::int64_t k, const T* a, std::int64_t lda, const T* b,
+                   std::int64_t ldb, const Scales& scales, float* c,
+                   std::int64_t ldc, const GemmEpilogue& epilogue) {
+  CARAML_CHECK_MSG(!(trans_a && trans_b), "gemm: T·T is unsupported");
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) {
+    // Nothing to accumulate, but the epilogue (e.g. a bias) still applies to
+    // the caller-initialized C.
+    if (!epilogue.empty()) apply_epilogue(epilogue, c, ldc, 0, m, 0, n);
+    return;
+  }
+  if (m * n * k <= kGemmDirectThreshold) {
+    gemm_direct(trans_a, trans_b, m, n, k, a, lda, b, ldb, scales, c, ldc);
+    if (!epilogue.empty()) apply_epilogue(epilogue, c, ldc, 0, m, 0, n);
+  } else if (!trans_a && m <= kGemmSkinnyRows &&
+             k <= GemmTraits<T>::kSkinnyMaxK) {
+    gemm_skinny(trans_b, m, n, k, a, lda, b, ldb, scales, c, ldc, epilogue);
+  } else {
+    gemm_packed(trans_a, trans_b, m, n, k, a, lda, b, ldb, scales, c, ldc,
+                epilogue);
   }
 }
 
@@ -871,65 +749,24 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float* c, std::int64_t ldc,
           const GemmEpilogue& epilogue) {
-  gemm_impl(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc, epilogue);
-}
-
-void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-          std::int64_t k, const float* a, std::int64_t lda, const float* b,
-          std::int64_t ldb, float* c, std::int64_t ldc) {
-  gemm_impl(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc, GemmEpilogue{});
+  gemm_dispatch(trans_a, trans_b, m, n, k, a, lda, b, ldb, Scales{}, c, ldc,
+                epilogue);
 }
 
 void gemm_bf16(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, const std::uint16_t* a, std::int64_t lda,
                const std::uint16_t* b, std::int64_t ldb, float* c,
                std::int64_t ldc, const GemmEpilogue& epilogue) {
-  if (!trans_a && m > 0 && m <= kGemmSkinnyRows && n > 0 && k > 0 &&
-      m * n * k > kGemmDirectThreshold) {
-    gemm_bf16_skinny(trans_b, m, n, k, a, lda, b, ldb, c, ldc, epilogue);
-    return;
-  }
-  gemm_impl(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc, epilogue);
-}
-
-void gemm_bf16(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-               std::int64_t k, const std::uint16_t* a, std::int64_t lda,
-               const std::uint16_t* b, std::int64_t ldb, float* c,
-               std::int64_t ldc) {
-  gemm_bf16(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc, GemmEpilogue{});
+  gemm_dispatch(trans_a, trans_b, m, n, k, a, lda, b, ldb, Scales{}, c, ldc,
+                epilogue);
 }
 
 void gemm_i8(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
              const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
              std::int64_t ldb, float scale_a, const float* scale_b, float* c,
              std::int64_t ldc, const GemmEpilogue& epilogue) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    if (!epilogue.empty()) apply_epilogue(epilogue, c, ldc, 0, m, 0, n);
-    return;
-  }
-  if (m * n * k <= kGemmDirectThreshold) {
-    gemm_i8_direct(trans_b, m, n, k, a, lda, b, ldb, scale_a, scale_b, c, ldc);
-    if (!epilogue.empty()) apply_epilogue(epilogue, c, ldc, 0, m, 0, n);
-    return;
-  }
-  // The skinny path accumulates int32 over all of k; cap it where
-  // k * 127^2 nears 2^31 (the blocked path slices at KC and has no limit).
-  if (m <= kGemmSkinnyRows && k <= (std::int64_t{1} << 17)) {
-    gemm_i8_skinny(trans_b, m, n, k, a, lda, b, ldb, scale_a, scale_b, c, ldc,
-                   epilogue);
-    return;
-  }
-  gemm_i8_packed(trans_b, m, n, k, a, lda, b, ldb, scale_a, scale_b, c, ldc,
-                 epilogue);
-}
-
-void gemm_i8(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
-             const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
-             std::int64_t ldb, float scale_a, const float* scale_b, float* c,
-             std::int64_t ldc) {
-  gemm_i8(trans_b, m, n, k, a, lda, b, ldb, scale_a, scale_b, c, ldc,
-          GemmEpilogue{});
+  gemm_dispatch(false, trans_b, m, n, k, a, lda, b, ldb,
+                Scales{scale_a, scale_b}, c, ldc, epilogue);
 }
 
 }  // namespace caraml::tensor::detail

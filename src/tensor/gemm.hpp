@@ -1,8 +1,16 @@
-// Blocked, packed, register-tiled single-precision GEMM.
+// One GEMM driver for every operand storage type: C += op(A)·op(B) with
+// row-major operands and independent transpose flags, where A and B are fp32
+// (gemm), bf16 (gemm_bf16) or symmetric int8 (gemm_i8) and C is always fp32.
+// matmul / matmul_nt / matmul_tn, the bf16 matmuls and the fused linear
+// layers all come here. One shape dispatch picks the path for every type:
 //
-// One kernel powers matmul / matmul_nt / matmul_tn: C += op(A)·op(B) with
-// row-major operands and independent transpose flags. The implementation is
-// the classic three-level cache blocking (BLIS/GotoBLAS structure):
+//   m <= 0 or n <= 0                    nothing to do
+//   k <= 0                              epilogue only
+//   m*n*k <= kGemmDirectThreshold       direct register-accumulating loops
+//   !trans_a && m <= kGemmSkinnyRows    skinny: stream op(B) once, column-
+//     (int8 also needs k <= 2^17)       parallel, widening on load
+//   otherwise                           packed, three-level cache blocking
+//                                       (BLIS/GotoBLAS structure):
 //
 //   for each KC slice of k:            (B slice stays in L2)
 //     for each NC slice of n:
@@ -12,11 +20,13 @@
 //           pack op(A) into MR-wide row panels  (per-thread workspace)
 //           MR x NR micro-kernel: rank-KC update accumulated in registers
 //
-// Packing makes the micro-kernel's loads contiguous and transpose-agnostic,
-// so `__restrict` plain loops auto-vectorize; accumulators live in registers
-// for the whole KC depth, eliminating the k-fold C traffic of the naive
-// kernel. Panels come from the per-thread Workspace, so steady-state
-// training reuses the same slabs every step.
+// The storage types differ only in how an element is widened, the packed
+// panel type (fp32 panels for fp32/bf16; int16 k-pair panels for int8's
+// pmaddwd kernel), the micro-kernel and dot kernel, and the accumulator
+// (fp32 in place in C, or exact int32 then dequantized). Packing makes the
+// micro-kernel's loads contiguous and transpose-agnostic; accumulators live
+// in registers for the whole KC depth. Panels come from the per-thread
+// Workspace, so steady-state training reuses the same slabs every step.
 #pragma once
 
 #include <cstdint>
@@ -36,16 +46,12 @@ inline constexpr std::int64_t kGemmNC = 1024;  // multiple of kGemmNR
 // worth it and a direct register-accumulating loop runs instead.
 inline constexpr std::int64_t kGemmDirectThreshold = 32 * 32 * 32;
 
-/// C[m,n] += op(A)·op(B).
-///
-/// op(A) is A[m,k] when !trans_a, else A is stored [k,m] and used transposed;
-/// op(B) is B[k,n] when !trans_b, else B is stored [n,k] and used transposed.
-/// lda/ldb/ldc are row strides of the *stored* matrices. C must be
-/// initialized by the caller (the kernel accumulates). trans_a && trans_b is
-/// unsupported (no caller needs it).
-void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-          std::int64_t k, const float* a, std::int64_t lda, const float* b,
-          std::int64_t ldb, float* c, std::int64_t ldc);
+// Row count at or below which a non-transposed-A GEMM streams op(B)
+// directly (widen/dequant on load, no packing): with so few rows the packed
+// path writes and re-reads an op(B)-sized panel, doubling the traffic that
+// dominates these bandwidth-bound shapes, and its row-parallel split yields
+// at most two MR chunks.
+inline constexpr std::int64_t kGemmSkinnyRows = 2 * kGemmMR;
 
 /// Elementwise post-processing fused into the GEMM write-back.
 ///
@@ -75,29 +81,28 @@ struct GemmEpilogue {
   }
 };
 
-/// GEMM with a fused epilogue (see GemmEpilogue). C must still be
-/// caller-initialized: the epilogue transforms the fully accumulated values.
+/// C[m,n] += op(A)·op(B), then the epilogue (see GemmEpilogue).
+///
+/// op(A) is A[m,k] when !trans_a, else A is stored [k,m] and used transposed;
+/// op(B) is B[k,n] when !trans_b, else B is stored [n,k] and used transposed.
+/// lda/ldb/ldc are row strides of the *stored* matrices. C must be
+/// initialized by the caller (the kernel accumulates; the epilogue transforms
+/// the fully accumulated values). trans_a && trans_b is unsupported (no
+/// caller needs it).
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float* c, std::int64_t ldc,
-          const GemmEpilogue& epilogue);
+          const GemmEpilogue& epilogue = {});
 
 /// bf16 GEMM: A and B are stored as bf16 (the top 16 bits of a binary32, see
-/// dtype.hpp); the pack routines widen panels to fp32 so the fp32
-/// micro-kernel and all accumulation run in full precision while A/B memory
-/// traffic is halved. Semantics otherwise identical to the fp32 gemm: C is
-/// fp32, caller-initialized, accumulated into; trans_a && trans_b
-/// unsupported. Skinny shapes (m <= kGemmSkinnyRows) take a widen-on-load
-/// streaming path that reads B exactly once instead of pack-then-reload —
-/// that single pass is where bandwidth-bound decode GEMMs gain ~2x.
+/// dtype.hpp) and widened to fp32 on load or pack, so all accumulation runs
+/// in full precision while A/B memory traffic is halved. Semantics otherwise
+/// identical to the fp32 gemm; on bf16-representable inputs the two give the
+/// same bits.
 void gemm_bf16(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, const std::uint16_t* a, std::int64_t lda,
                const std::uint16_t* b, std::int64_t ldb, float* c,
-               std::int64_t ldc);
-void gemm_bf16(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-               std::int64_t k, const std::uint16_t* a, std::int64_t lda,
-               const std::uint16_t* b, std::int64_t ldb, float* c,
-               std::int64_t ldc, const GemmEpilogue& epilogue);
+               std::int64_t ldc, const GemmEpilogue& epilogue = {});
 
 /// int8 inference GEMM with fused dequantization:
 ///
@@ -114,16 +119,6 @@ void gemm_bf16(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 void gemm_i8(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
              const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
              std::int64_t ldb, float scale_a, const float* scale_b, float* c,
-             std::int64_t ldc);
-void gemm_i8(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
-             const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
-             std::int64_t ldb, float scale_a, const float* scale_b, float* c,
-             std::int64_t ldc, const GemmEpilogue& epilogue);
-
-// Row count at or below which the bf16/int8 paths stream op(B) directly
-// (widen/dequant on load, no packing): with so few rows the packed path
-// writes and re-reads an op(B)-sized panel, doubling the traffic that
-// dominates these bandwidth-bound shapes.
-inline constexpr std::int64_t kGemmSkinnyRows = 2 * kGemmMR;
+             std::int64_t ldc, const GemmEpilogue& epilogue = {});
 
 }  // namespace caraml::tensor::detail

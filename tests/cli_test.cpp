@@ -193,6 +193,35 @@ TEST(CaramlCli, AnalyseTraceReportsMalformedJsonWithOffset) {
       << result.output;
 }
 
+TEST(CaramlCli, AnalyseTraceJsonOutKeepsEveryTrace) {
+  const std::string dir = ::testing::TempDir() + "caraml_cli_two_traces";
+  run_command("rm -rf " + dir + " && mkdir -p " + dir);
+  const auto run = run_command(std::string(CARAML_CLI_PATH) +
+                               " llm --system A100 --batch 256 --devices 4"
+                               " --derate-device 0:3 --trace-out " + dir +
+                               "/good.json");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  {
+    std::ofstream bad(dir + "/bad.json");
+    bad << "{\"traceEvents\":[";
+  }
+  // The malformed trace comes first: its document must survive the second.
+  const auto result = run_command(
+      std::string(CARAML_CLI_PATH) + " analyse-trace " + dir + "/bad.json " +
+      dir + "/good.json --json-out " + dir + "/both.json");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  std::ifstream json_file(dir + "/both.json");
+  ASSERT_TRUE(json_file.good());
+  std::stringstream json_text;
+  json_text << json_file.rdbuf();
+  const std::string text = json_text.str();
+  const std::string::size_type error = text.find("analysis/trace-error");
+  const std::string::size_type finding = text.find("analysis/load-imbalance");
+  ASSERT_NE(error, std::string::npos) << text;
+  ASSERT_NE(finding, std::string::npos) << text;
+  EXPECT_LT(error, finding) << "documents must follow argument order";
+}
+
 TEST(CaramlCli, FailedRunStillFlushesTraceAndMetrics) {
   const std::string dir = ::testing::TempDir() + "caraml_cli_failflush";
   run_command("rm -rf " + dir + " && mkdir -p " + dir);

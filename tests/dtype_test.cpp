@@ -310,30 +310,55 @@ TEST(Bf16Gemm, SurvivesAdversarialMagnitudes) {
 }
 
 TEST(Bf16Gemm, PackedPathBitIdenticalToFp32OnRepresentableInputs) {
-  // Shared-skeleton contract: for inputs already exactly representable in
-  // bf16 the packed bf16 GEMM performs the identical fp32 arithmetic as the
-  // fp32 GEMM, so the outputs must agree bit for bit (not just to tolerance).
-  // m > kGemmSkinnyRows keeps the bf16 entry off the streaming path, and
-  // m*n*k above kGemmDirectThreshold keeps both entries off the direct path.
+  // Shared-driver contract: for inputs already exactly representable in bf16
+  // the bf16 GEMM performs the identical fp32 arithmetic as the fp32 GEMM on
+  // the direct, skinny-NN and packed paths, so the outputs must agree bit for
+  // bit (not just to tolerance). Each shape pins one dispatch path. The one
+  // per-type kernel is the skinny NT dot: bf16's widening unpack interleaves
+  // the vector lanes, so its fold order differs from fp32's, and skinny NT
+  // is left out below.
+  struct Case {
+    std::int64_t m, n, k;
+    const char* path;
+  };
+  const Case cases[] = {
+      {64, 40, 48, "packed"},     // m > kGemmSkinnyRows, above the direct cap
+      {7, 9, 17, "direct"},       // m*n*k <= kGemmDirectThreshold
+      {8, 40, 600, "skinny"},     // m <= kGemmSkinnyRows (TN stays packed)
+      {12, 1030, 257, "skinny"},  // many column chunks, ragged dot tail
+  };
   Rng rng(7);
-  const std::int64_t m = 64, n = 40, k = 48;
-  Tensor a = Tensor::randn({m, k}, rng);
-  Tensor b = Tensor::randn({k, n}, rng);
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    a[i] = bf16_to_float(float_to_bf16(a[i]));
-  }
-  for (std::int64_t i = 0; i < b.numel(); ++i) {
-    b[i] = bf16_to_float(float_to_bf16(b[i]));
-  }
-  const Tensor c_f32 = matmul(a, b);
-  const Tensor c_bf16 =
-      matmul_bf16(Bf16Tensor::from_float(a), Bf16Tensor::from_float(b));
-  for (std::int64_t i = 0; i < c_f32.numel(); ++i) {
-    const float f32_val = c_f32[i], bf16_val = c_bf16[i];
-    std::uint32_t fb, bb;
-    std::memcpy(&fb, &f32_val, 4);
-    std::memcpy(&bb, &bf16_val, 4);
-    ASSERT_EQ(fb, bb) << "flat index " << i;
+  for (const Case& s : cases) {
+    const auto representable = [&](Shape shape) {
+      Tensor t = Tensor::randn(std::move(shape), rng);
+      for (std::int64_t i = 0; i < t.numel(); ++i) {
+        t[i] = bf16_to_float(float_to_bf16(t[i]));
+      }
+      return t;
+    };
+    const Tensor a = representable({s.m, s.k});
+    const Tensor b = representable({s.k, s.n});
+    const Tensor bt = representable({s.n, s.k});
+    const Tensor at = representable({s.k, s.m});
+    const auto bf = [](const Tensor& t) { return Bf16Tensor::from_float(t); };
+    const auto expect_same_bits = [&](const Tensor& c_f32,
+                                      const Tensor& c_bf16,
+                                      const char* variant) {
+      ASSERT_EQ(c_f32.numel(), c_bf16.numel());
+      for (std::int64_t i = 0; i < c_f32.numel(); ++i) {
+        const float f32_val = c_f32[i], bf16_val = c_bf16[i];
+        std::uint32_t fb, bb;
+        std::memcpy(&fb, &f32_val, 4);
+        std::memcpy(&bb, &bf16_val, 4);
+        ASSERT_EQ(fb, bb) << s.path << " " << variant << " " << s.m << "x"
+                          << s.n << "x" << s.k << " flat index " << i;
+      }
+    };
+    expect_same_bits(matmul(a, b), matmul_bf16(bf(a), bf(b)), "NN");
+    expect_same_bits(matmul_tn(at, b), matmul_tn_bf16(bf(at), bf(b)), "TN");
+    if (std::string(s.path) != "skinny") {
+      expect_same_bits(matmul_nt(a, bt), matmul_nt_bf16(bf(a), bf(bt)), "NT");
+    }
   }
 }
 
@@ -499,8 +524,9 @@ TEST(FusedDtype, Int8RejectsDropout) {
 
 // Same subprocess pattern as FusedAttention.DeterministicAcrossThreadCounts:
 // the pool reads CARAML_NUM_THREADS once at static init. Each child computes
-// bf16 packed + skinny and int8 packed + skinny GEMMs and dumps raw bytes;
-// the parent asserts the dumps are byte-identical. The kernels guarantee this
+// bf16 packed + skinny, int8 packed + skinny and fp32 skinny NN + NT GEMMs
+// and dumps raw bytes; the parent asserts the dumps are byte-identical. The
+// kernels guarantee this
 // by construction: packed paths split only the row dimension (each C element
 // is accumulated by exactly one thread in a fixed KC-slice order), streaming
 // paths give each thread a disjoint column range.
@@ -533,8 +559,13 @@ TEST(DtypeGemm, DeterministicAcrossThreadCounts) {
     Tensor c4({4, 120});
     detail::gemm_i8(true, 4, 120, 400, qa2.data.data(), 400, qb2.data.data(),
                     400, qa2.scales[0], qb2.scales.data(), c4.data(), 120);
+    // fp32 skinny streams, each split over several column chunks.
+    const Tensor c5 =
+        matmul(Tensor::randn({8, 600}, rng), Tensor::randn({600, 300}, rng));
+    const Tensor c6 = matmul_nt(Tensor::randn({12, 257}, rng),
+                                Tensor::randn({1030, 257}, rng));
     std::ofstream out(dump_path, std::ios::binary);
-    const Tensor* outputs[] = {&c1, &c2, &c3, &c4};
+    const Tensor* outputs[] = {&c1, &c2, &c3, &c4, &c5, &c6};
     for (const Tensor* t : outputs) {
       out.write(reinterpret_cast<const char*>(t->data()),
                 static_cast<std::streamsize>(t->numel() * sizeof(float)));

@@ -635,10 +635,14 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{17, 19, 23},   // primes, direct path
                       GemmShape{6, 16, 16},    // exact single tile
                       GemmShape{97, 101, 103},  // primes, blocked path
-                      GemmShape{1, 300, 200},  // m=1 through the blocked path
+                      GemmShape{1, 300, 200},  // m=1: skinny stream (NN/NT),
+                                               // blocked (TN)
                       GemmShape{64, 1, 700},   // k=1 through the blocked path
                       GemmShape{129, 257, 65},  // ragged tiles + partial KC
                       GemmShape{5, 2048, 3},   // deep k, tiny m/n
+                      GemmShape{8, 600, 40},   // skinny stream, ragged chunk
+                      GemmShape{12, 257, 1030},  // skinny at kGemmSkinnyRows,
+                                                 // many column chunks
                       GemmShape{997, 64, 48}),  // tall m: many parallel chunks
                                                 // with MR-rounded grains
     [](const auto& info) {
