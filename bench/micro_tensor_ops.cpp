@@ -2,9 +2,10 @@
 // conv2d, BatchNorm and softmax kernels that execute the real (CPU) training
 // path.
 //
-// All benchmarks use wall time (UseRealTime): the kernels run on the process
-// thread pool, so the main thread's CPU time measures dispatch overhead, not
-// compute. items_per_second for the GEMMs is FLOPs (2*m*n*k).
+// All benchmarks use wall time (UseRealTime): the benchmark thread computes
+// one share of each parallel region and the pool's helpers the rest, so its
+// CPU time undercounts the work. items_per_second for the GEMMs is FLOPs
+// (2*m*n*k).
 //
 // scripts/bench_perf.py consumes --benchmark_format=json output from this
 // binary. Two committed baselines gate regressions: BENCH_tensor.json records
@@ -21,6 +22,7 @@
 #include "tensor/quant.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 
 namespace {
 
@@ -325,5 +327,16 @@ void BM_AttentionBackward(benchmark::State& state) {
 BENCHMARK(BM_AttentionBackward)->Arg(256)->UseRealTime();
 
 }  // namespace
+
+// An empty region over 64 indices: what every parallel kernel pays to open
+// a region on the global pool, wake its helpers and wait for them to leave.
+void BM_ParallelRegion(benchmark::State& state) {
+  for (auto _ : state) {
+    caraml::parallel_for_range(0, 64, 1, [](std::size_t lo, std::size_t hi) {
+      benchmark::DoNotOptimize(lo + hi);
+    });
+  }
+}
+BENCHMARK(BM_ParallelRegion)->UseRealTime();
 
 BENCHMARK_MAIN();

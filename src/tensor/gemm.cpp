@@ -1,9 +1,11 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
 #include <type_traits>
+#include <utility>
 
 #include "tensor/activations.hpp"
 #include "tensor/workspace.hpp"
@@ -42,6 +44,29 @@ inline float to_f32(std::uint16_t x) {
 // 8-wide float vector with scalar (4-byte) alignment so loads/stores work on
 // arbitrarily offset C rows and packed panels.
 typedef float v8f __attribute__((vector_size(32), aligned(4)));
+typedef std::int32_t v8i __attribute__((vector_size(32), aligned(4)));
+
+// Eight consecutive stored elements widened to an accumulator vector (the
+// skinny NN strips): fp32 as is, bf16 into the high half of each fp32 lane,
+// int8 sign-extended to int32.
+inline v8f load8(const float* p) { return *reinterpret_cast<const v8f*>(p); }
+inline v8f load8(const std::uint16_t* p) {
+  typedef std::uint16_t v8u16 __attribute__((vector_size(16), aligned(2)));
+  typedef std::uint32_t v8u32 __attribute__((vector_size(32)));
+  const v8u32 bits =
+      __builtin_convertvector(*reinterpret_cast<const v8u16*>(p), v8u32) << 16;
+  return reinterpret_cast<v8f>(bits);
+}
+inline v8i load8(const std::int8_t* p) {
+#if defined(__AVX2__)
+  // GCC lowers the generic byte widening below to eight scalar loads.
+  return reinterpret_cast<v8i>(_mm256_cvtepi8_epi32(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+#else
+  typedef std::int8_t v8i8 __attribute__((vector_size(8), aligned(1)));
+  return __builtin_convertvector(*reinterpret_cast<const v8i8*>(p), v8i);
+#endif
+}
 
 // Rank-kc update of an MR x NR tile of C. The 12 accumulators are *named*
 // vector variables, not an array: an acc[MR*NR] aggregate exceeds the
@@ -591,6 +616,70 @@ void apply_epilogue(const GemmEpilogue& ep, float* c, std::int64_t ldc,
   }
 }
 
+// Skinny NN rows: all M (<= kGemmSkinnyRows) rows of the accumulator block
+// against `width` columns of B. An 8- or 16-column strip of every row stays
+// in vector registers for a whole kSkinnyKB-deep slice of k, so each
+// accumulator is loaded and stored once per slice instead of once per k
+// step. Each element still sums C + a0*b0 + a1*b1 + ... in k order, bit for
+// bit as the row-at-a-time loop that finishes the columns past the last full
+// strip. Slicing k (rather than running a strip down all of it) keeps the
+// number of B rows read at once, each its own prefetch stream, small.
+constexpr std::int64_t kSkinnyKB = 16;
+
+template <typename T, int M>
+void skinny_nn_rows(std::int64_t k, const T* __restrict a, std::int64_t lda,
+                    const T* __restrict b, std::int64_t ldb,
+                    AccBlock<typename GemmTraits<T>::Acc>& acc,
+                    std::int64_t width) {
+  using Tr = GemmTraits<T>;
+  using Acc = typename Tr::Acc;
+  std::int64_t strips_end = 0;
+#if defined(__GNUC__) || defined(__clang__)
+  using V = decltype(load8(b));
+  // Two vectors per row while 2*M accumulators leave registers for B.
+  constexpr int NV = M <= kGemmSkinnyRows / 2 ? 2 : 1;
+  constexpr int W = 8 * NV;
+  strips_end = width / W * W;
+  for (std::int64_t p0 = 0; p0 < k && strips_end > 0; p0 += kSkinnyKB) {
+    const std::int64_t kb = std::min(kSkinnyKB, k - p0);
+    // The slice of A, widened once for all strips.
+    Acc a_wide[kSkinnyKB][M];
+    for (std::int64_t p = 0; p < kb; ++p)
+      for (int i = 0; i < M; ++i) a_wide[p][i] = Tr::widen(a[i * lda + p0 + p]);
+    for (std::int64_t j0 = 0; j0 < strips_end; j0 += W) {
+      V sum[M][NV];
+      for (int i = 0; i < M; ++i)
+        for (int v = 0; v < NV; ++v)
+          sum[i][v] = *reinterpret_cast<const V*>(acc.row(i) + j0 + 8 * v);
+      for (std::int64_t p = 0; p < kb; ++p) {
+        const T* b_row = b + (p0 + p) * ldb + j0;
+        V b_val[NV];
+        for (int v = 0; v < NV; ++v) b_val[v] = load8(b_row + 8 * v);
+        for (int i = 0; i < M; ++i)
+          for (int v = 0; v < NV; ++v) sum[i][v] += a_wide[p][i] * b_val[v];
+      }
+      for (int i = 0; i < M; ++i)
+        for (int v = 0; v < NV; ++v)
+          *reinterpret_cast<V*>(acc.row(i) + j0 + 8 * v) = sum[i][v];
+    }
+  }
+#endif
+  for (std::int64_t p = 0; p < k && strips_end < width; ++p) {
+    const T* __restrict b_row = b + p * ldb;
+    for (int i = 0; i < M; ++i) {
+      const Acc a_val = Tr::widen(a[i * lda + p]);
+      Acc* __restrict acc_row = acc.row(i);
+      for (std::int64_t j = strips_end; j < width; ++j)
+        acc_row[j] += a_val * Tr::widen(b_row[j]);
+    }
+  }
+}
+
+template <typename T, std::size_t... R>
+constexpr auto skinny_nn_table(std::index_sequence<R...>) {
+  return std::array{&skinny_nn_rows<T, static_cast<int>(R) + 1>...};
+}
+
 // Skinny-m GEMM: stream op(B) in its storage type exactly once, widening on
 // load — no packed panel is written or re-read, which halves the traffic of
 // bandwidth-bound decode shapes. Workers own disjoint column ranges at least
@@ -615,15 +704,9 @@ void gemm_skinny(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
         const std::int64_t width = static_cast<std::int64_t>(hi_s) - lo;
         AccBlock<Acc> acc(c, ldc, m, lo, width, scales);
         if (!trans_b) {
-          for (std::int64_t p = 0; p < k; ++p) {
-            const T* __restrict b_row = b + p * ldb + lo;
-            for (std::int64_t i = 0; i < m; ++i) {
-              const Acc a_val = Tr::widen(a[i * lda + p]);
-              Acc* __restrict acc_row = acc.row(i);
-              for (std::int64_t j = 0; j < width; ++j)
-                acc_row[j] += a_val * Tr::widen(b_row[j]);
-            }
-          }
+          static constexpr auto kRows = skinny_nn_table<T>(
+              std::make_index_sequence<kGemmSkinnyRows>());
+          kRows[m - 1](k, a, lda, b + lo, ldb, acc, width);
         } else {
           // op(B) row j is B[j, :]: one contiguous k-dot per output. A is at
           // most kGemmSkinnyRows rows and stays cache-hot across all j.

@@ -42,7 +42,9 @@ TEST(TelemetryMetrics, CounterConcurrentIncrementsAreExact) {
   auto& counter = registry.counter("test/hits");
   ThreadPool pool(4);
   constexpr std::size_t kIters = 10000;
-  pool.parallel_for(0, kIters, [&](std::size_t) { counter.add(); });
+  pool.parallel_for_range(0, kIters, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) counter.add();
+  });
   EXPECT_EQ(counter.value(), static_cast<std::int64_t>(kIters));
   counter.add(5);
   EXPECT_EQ(counter.value(), static_cast<std::int64_t>(kIters) + 5);
@@ -71,8 +73,9 @@ TEST(TelemetryMetrics, HistogramConcurrentObservationsKeepCountAndSum) {
       registry.histogram("test/latency", Histogram::linear_buckets(1, 1, 100));
   ThreadPool pool(4);
   constexpr std::size_t kIters = 8000;
-  pool.parallel_for(0, kIters,
-                    [&](std::size_t i) { hist.observe(double(i % 100)); });
+  pool.parallel_for_range(0, kIters, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) hist.observe(double(i % 100));
+  });
   EXPECT_EQ(hist.count(), static_cast<std::int64_t>(kIters));
   // sum of (i % 100) over 8000 iterations = 80 * (0 + ... + 99)
   EXPECT_DOUBLE_EQ(hist.sum(), 80.0 * 4950.0);

@@ -650,6 +650,35 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.k) + "_n" + std::to_string(info.param.n);
     });
 
+// The skinny NN path keeps column strips of C in registers across slices of
+// k, but every element must still sum C + a0*b0 + a1*b1 + ... in k order and
+// independently of its neighbours. So accumulating k in two calls, or the
+// columns in two calls, must reproduce a single call bit for bit, for every
+// row count the path takes and split points off the strip and slice grid.
+TEST(GemmSkinny, NnSumsEachElementInKOrderFromC) {
+  using caraml::tensor::detail::gemm;
+  const std::int64_t k = 300, n = 203, k_split = 21, n_split = 37;
+  for (std::int64_t m = 1; m <= caraml::tensor::detail::kGemmSkinnyRows; ++m) {
+    Rng rng(static_cast<std::uint64_t>(m));
+    const Tensor a = Tensor::randn({m, k}, rng);
+    const Tensor b = Tensor::randn({k, n}, rng);
+    const Tensor c0 = Tensor::randn({m, n}, rng);
+    Tensor whole = c0;
+    gemm(false, false, m, n, k, a.data(), k, b.data(), n, whole.data(), n);
+    Tensor by_k = c0;
+    gemm(false, false, m, n, k_split, a.data(), k, b.data(), n, by_k.data(), n);
+    gemm(false, false, m, n, k - k_split, a.data() + k_split, k,
+         b.data() + k_split * n, n, by_k.data(), n);
+    Tensor by_n = c0;
+    gemm(false, false, m, n_split, k, a.data(), k, b.data(), n, by_n.data(), n);
+    gemm(false, false, m, n - n_split, k, a.data(), k, b.data() + n_split, n,
+         by_n.data() + n_split, n);
+    SCOPED_TRACE("m=" + std::to_string(m));
+    EXPECT_EQ(std::memcmp(whole.data(), by_k.data(), sizeof(float) * m * n), 0);
+    EXPECT_EQ(std::memcmp(whole.data(), by_n.data(), sizeof(float) * m * n), 0);
+  }
+}
+
 TEST(KernelEquivalence, SoftmaxMatchesReference) {
   Rng rng(7);
   const Tensor a = Tensor::randn({37, 53}, rng, 3.0f);

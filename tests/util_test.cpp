@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <set>
+#include <thread>
 
 #include "util/argparse.hpp"
 #include "util/error.hpp"
@@ -256,23 +257,28 @@ TEST(ThreadPool, SubmitReturnsValue) {
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(0, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  pool.parallel_for_range(0, hits.size(), 1,
+                          [&](std::size_t lo, std::size_t hi) {
+                            for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+                          });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool ran = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
+  pool.parallel_for_range(5, 5, 1,
+                          [&](std::size_t, std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptions) {
   ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(0, 100,
-                                 [](std::size_t i) {
-                                   if (i == 50) throw std::runtime_error("x");
-                                 }),
+  EXPECT_THROW(pool.parallel_for_range(0, 100, 1,
+                                       [](std::size_t lo, std::size_t hi) {
+                                         if (lo <= 50 && 50 < hi)
+                                           throw std::runtime_error("x");
+                                       }),
                std::runtime_error);
 }
 
@@ -401,6 +407,142 @@ TEST(ParallelForRange, FreeFunctionUsesGlobalPool) {
                        for (std::size_t i = lo; i < hi; ++i) ++hits[i];
                      });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForRange, SingleThreadPoolRunsInline) {
+  ThreadPool pool(1);
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  std::thread::id ran_on;
+  pool.parallel_for_range(0, 1000, 1, [&](std::size_t lo, std::size_t hi) {
+    calls.emplace_back(lo, hi);
+    ran_on = std::this_thread::get_id();
+  });
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_pair(std::size_t{0}, std::size_t{1000}));
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ParallelForRange, NestedCallFromCallerChunkRunsInline) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::vector<std::pair<std::size_t, std::size_t>> inner;
+  std::atomic<bool> inner_off_caller{false};
+  std::atomic<int> caller_chunks{0};
+  // Helper chunks wait until the caller has run one, so it is sure to claim
+  // one of the 16 chunks.
+  pool.parallel_for_range(0, 64, 1, [&](std::size_t, std::size_t) {
+    if (std::this_thread::get_id() != caller) {
+      while (caller_chunks.load() == 0) std::this_thread::yield();
+      return;
+    }
+    pool.parallel_for_range(0, 100, 1, [&](std::size_t lo, std::size_t hi) {
+      if (std::this_thread::get_id() != caller) inner_off_caller = true;
+      std::lock_guard<std::mutex> lock(mutex);
+      inner.emplace_back(lo, hi);
+    });
+    ++caller_chunks;
+  });
+  ASSERT_GE(caller_chunks.load(), 1);
+  EXPECT_FALSE(inner_off_caller.load());
+  ASSERT_EQ(inner.size(), static_cast<std::size_t>(caller_chunks.load()));
+  for (const auto& chunk : inner) {
+    EXPECT_EQ(chunk, std::make_pair(std::size_t{0}, std::size_t{100}));
+  }
+}
+
+TEST(ParallelForRange, ConcurrentCallersEachCoverTheirRangeOnce) {
+  // Two threads outside the pool open regions on it at the same time: one
+  // gets the helpers, the other runs inline, and neither loses or repeats an
+  // index.
+  ThreadPool pool(4);
+  constexpr int kRounds = 200;
+  const auto run = [&pool](std::vector<std::atomic<int>>& hits) {
+    for (int round = 1; round <= kRounds; ++round) {
+      pool.parallel_for_range(0, hits.size(), 8,
+                              [&](std::size_t lo, std::size_t hi) {
+                                for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+                              });
+      for (const auto& h : hits) ASSERT_EQ(h.load(), round);
+    }
+  };
+  std::vector<std::atomic<int>> hits_a(1000), hits_b(777);
+  std::thread a([&] { run(hits_a); });
+  std::thread b([&] { run(hits_b); });
+  a.join();
+  b.join();
+  for (const auto& h : hits_a) EXPECT_EQ(h.load(), kRounds);
+  for (const auto& h : hits_b) EXPECT_EQ(h.load(), kRounds);
+}
+
+TEST(ParallelForRange, PoolLargerThanHardwareCoversRange) {
+  ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()) + 3);
+  std::vector<std::atomic<int>> hits(10000);
+  for (int round = 1; round <= 20; ++round) {
+    pool.parallel_for_range(0, hits.size(), 1,
+                            [&](std::size_t lo, std::size_t hi) {
+                              for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+                            });
+  }
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 20);
+}
+
+TEST(ParallelForRange, ExceptionsFromCallerAndHelperChunksPropagate) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "a region needs two cores to have a helper";
+  }
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto wait_for = [](const std::atomic<bool>& flag) {
+    while (!flag.load()) std::this_thread::yield();
+  };
+  // The caller's chunk throws; helper chunks wait until it has, so the
+  // caller is sure to claim one.
+  std::atomic<bool> caller_ran{false};
+  EXPECT_THROW(pool.parallel_for_range(0, 100, 1,
+                                       [&](std::size_t, std::size_t) {
+                                         if (std::this_thread::get_id() ==
+                                             caller) {
+                                           caller_ran = true;
+                                           throw std::runtime_error("caller");
+                                         }
+                                         wait_for(caller_ran);
+                                       }),
+               std::runtime_error);
+  // A helper's chunk throws; the caller's chunks wait until one has, so a
+  // helper is sure to claim one.
+  std::atomic<bool> helper_ran{false};
+  EXPECT_THROW(pool.parallel_for_range(0, 100, 1,
+                                       [&](std::size_t, std::size_t) {
+                                         if (std::this_thread::get_id() ==
+                                             caller) {
+                                           wait_for(helper_ran);
+                                           return;
+                                         }
+                                         helper_ran = true;
+                                         throw std::logic_error("helper");
+                                       }),
+               std::logic_error);
+  std::vector<std::atomic<int>> hits(500);
+  pool.parallel_for_range(0, hits.size(), 1,
+                          [&](std::size_t lo, std::size_t hi) {
+                            for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+                          });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForRange, SubmitWorksAfterRegions) {
+  ThreadPool pool(3);
+  std::atomic<std::size_t> covered{0};
+  for (int round = 0; round < 10; ++round) {
+    pool.parallel_for_range(0, 300, 4, [&](std::size_t lo, std::size_t hi) {
+      covered += hi - lo;
+    });
+  }
+  EXPECT_EQ(covered.load(), 3000u);
+  std::vector<std::future<int>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(pool.submit([i] { return i * i; }));
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(futures[i].get(), i * i);
 }
 
 // --- CARAML_NUM_THREADS parsing ---------------------------------------------
